@@ -36,7 +36,6 @@ from .gseq import (
     DEFAULT_TOL,
     DEFAULT_WINDOW,
     GSeq,
-    Verdict,
     seq_from_expr,
     seq_from_logs,
     seq_from_values,
@@ -109,7 +108,11 @@ def _range_type(text: str) -> tuple[int, int]:
 def load_sequence(spec: str, logs: bool = False) -> GSeq:
     """An expression, unless ``spec`` names an existing file of numbers."""
     path = Path(spec)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. an expression longer than a file name may be
+        is_file = False
+    if is_file:
         values = []
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             stripped = line.strip()
@@ -181,41 +184,54 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
-def _verdict_blocks(v: Verdict) -> tuple[dict, dict]:
-    d = v.to_dict()
-    verdict = {"kind": d["kind"], "estimate_log": d["estimate_log"], "window": d["window"]}
-    diagnostics = {"probe_N": d["probe_N"], "probe_2N": d["probe_2N"], "note": d["note"]}
-    return verdict, diagnostics
+#: Verdict keys the classify and dual envelopes move to their diagnostics.
+_DIAGNOSTICS = ("probe_N", "probe_2N", "note")
 
 
-def _merge_blocks(verdict: dict, diagnostics: dict) -> dict:
-    return {**verdict, **diagnostics}
+def _verdict_envelope(command: str, name: str, report, args) -> dict:
+    """The classify/dual envelope of a report: the verdict split into its
+    decision and its diagnostics, the report's ``name`` and m under inputs."""
+    d = report.to_dict()
+    verdict = d.pop("verdict")
+    diagnostics = {key: verdict.pop(key) for key in _DIAGNOSTICS}
+    env = {
+        "command": command,
+        "inputs": {
+            "seq": args.seq,
+            name: d.pop(name),
+            "m": d.pop("m"),
+            "N": args.N,
+            "tol": args.tol,
+        },
+        "verdict": verdict,
+        "diagnostics": diagnostics,
+        "witness_index": d.pop("witness_index", None),
+        "member": report.member,
+    }
+    d.pop("window", None)  # the verdict block carries the window
+    return {**env, **d}
 
 
-def membership_report_from_envelope(env: dict) -> MembershipReport:
-    """Rebuild the classify report from its JSON envelope."""
-    return MembershipReport.from_dict(
+def _report_from_envelope(cls, name: str, env: dict):
+    return cls.from_dict(
         {
-            "space": env["inputs"]["space"],
+            **env,
+            name: env["inputs"][name],
             "m": env["inputs"]["m"],
-            "verdict": _merge_blocks(env["verdict"], env["diagnostics"]),
-            "witness_index": env["witness_index"],
+            "verdict": {**env["verdict"], **env["diagnostics"]},
             "window": env["verdict"]["window"],
         }
     )
 
 
+def membership_report_from_envelope(env: dict) -> MembershipReport:
+    """Rebuild the classify report from its JSON envelope."""
+    return _report_from_envelope(MembershipReport, "space", env)
+
+
 def dual_report_from_envelope(env: dict) -> DualReport:
     """Rebuild the dual report from its JSON envelope."""
-    return DualReport.from_dict(
-        {
-            "kind": env["inputs"]["kind"],
-            "m": env["inputs"]["m"],
-            "verdict": _merge_blocks(env["verdict"], env["diagnostics"]),
-            "partial_log": env["partial_log"],
-            "remainder_ok": env["remainder_ok"],
-        }
-    )
+    return _report_from_envelope(DualReport, "kind", env)
 
 
 def _rows_envelope(command: str, inputs: dict, seq: GSeq, lo: int, hi: int) -> dict:
@@ -303,21 +319,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "classify":
         seq = load_sequence(args.seq, args.logs)
         report = classify(seq, args.space, args.m, args.N, args.tol)
-        verdict, diagnostics = _verdict_blocks(report.verdict)
-        env = {
-            "command": "classify",
-            "inputs": {
-                "seq": args.seq,
-                "space": args.space,
-                "m": args.m,
-                "N": args.N,
-                "tol": args.tol,
-            },
-            "verdict": verdict,
-            "diagnostics": diagnostics,
-            "witness_index": report.witness_index,
-            "member": report.member,
-        }
+        env = _verdict_envelope("classify", "space", report, args)
         _emit(env, fmt)
         return _exit_for(report.verdict.kind.value)
 
@@ -325,25 +327,7 @@ def _run(args: argparse.Namespace) -> int:
         seq = load_sequence(args.seq, args.logs)
         kind = args.kind.replace("-", "_")
         report = dual_test(seq, kind, args.m, args.N, args.tol)
-        verdict, diagnostics = _verdict_blocks(report.verdict)
-        env = {
-            "command": "dual",
-            "inputs": {
-                "seq": args.seq,
-                "kind": kind,
-                "m": report.m,
-                "N": args.N,
-                "tol": args.tol,
-            },
-            "verdict": verdict,
-            "diagnostics": diagnostics,
-            "witness_index": None,
-            "member": report.member,
-            "partial_log": report.partial_value.log_value,
-            "remainder_ok": None
-            if report.remainder_ok is None
-            else report.remainder_ok.to_dict(),
-        }
+        env = _verdict_envelope("dual", "kind", report, args)
         _emit(env, fmt)
         return _exit_for(report.verdict.kind.value)
 
@@ -364,25 +348,18 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_INCONCLUSIVE if report.has_inconclusive else EXIT_OK
 
     if args.command == "demo":
-        if args.which == "inclusion":
-            report = inclusion_demo(args.m, args.N, args.tol)
-            sub_reports = (
-                report.at_order_m,
-                report.at_order_m_plus_1,
-                report.chain_c,
-                report.chain_linf,
-            )
-        else:
-            report = algebra_counterexample(args.m, args.N, args.tol)
-            sub_reports = (report.x_report, report.y_report, report.product_report)
+        demo = inclusion_demo if args.which == "inclusion" else algebra_counterexample
+        report = demo(args.m, args.N, args.tol)
+        body = report.to_dict()
         env = {
             "command": "demo",
             "inputs": {"which": args.which, "m": args.m, "N": args.N, "tol": args.tol},
             "holds": report.holds,
-            "report": report.to_dict(),
+            "report": body,
         }
         _emit(env, fmt)
-        kinds = tuple(r.verdict.kind.value for r in sub_reports)
+        # the nested objects of a demo report are its membership reports
+        kinds = [sub["verdict"]["kind"] for sub in body.values() if isinstance(sub, dict)]
         return _exit_for(*kinds)
 
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -23,11 +23,12 @@ Beta and gamma tests beyond m = 1 are not defined here and raise
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
+from .codec import Report, json_key
 from .errors import NoSubsequenceFound, UnsupportedOrder
 from .garith import GNum
 from .gdiff import check_order
@@ -38,10 +39,13 @@ from .gseq import (
     SparseLogSeq,
     Verdict,
     VerdictKind,
+    check_window,
     conjunction,
     monotone_verdict,
     signed_series_verdict,
+    window_statistic,
 )
+from .spaces import weighted_sup
 
 __all__ = [
     "DUAL_KINDS",
@@ -58,45 +62,18 @@ DUAL_KINDS = ("alpha", "alpha_alpha", "beta", "gamma")
 
 
 @dataclass(frozen=True)
-class DualReport:
+class DualReport(Report):
     """Outcome of one dual-membership test."""
 
     kind: str
     m: int
     verdict: Verdict
-    partial_value: GNum
+    partial_value: GNum = field(metadata=json_key("partial_log"))
     remainder_ok: Optional[Verdict] = None
 
     @property
     def member(self) -> bool:
         return self.verdict.kind is VerdictKind.FINITE
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "m": self.m,
-            "verdict": self.verdict.to_dict(),
-            "partial_log": self.partial_value.log_value,
-            "remainder_ok": None if self.remainder_ok is None else self.remainder_ok.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "DualReport":
-        rem = d.get("remainder_ok")
-        return DualReport(
-            kind=d["kind"],
-            m=int(d["m"]),
-            verdict=Verdict.from_dict(d["verdict"]),
-            partial_value=GNum(float(d["partial_log"])),
-            remainder_ok=None if rem is None else Verdict.from_dict(rem),
-        )
-
-
-def _validate(N: int, tol: float) -> None:
-    if not isinstance(N, int) or N < 4:
-        raise ValueError(f"dual tests need a window N >= 4, got {N!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
 
 
 def alpha_dual_test(
@@ -104,13 +81,11 @@ def alpha_dual_test(
 ) -> DualReport:
     """Summability of k^m |ln a_k| by the three-window protocol."""
     m = check_order(m)
-    _validate(N, tol)
+    check_window(N, tol)
     logs = a.log_values(1, 2 * N)
     ks = np.arange(1, 2 * N + 1, dtype=np.float64)
     vals = np.power(ks, float(m)) * np.abs(logs)
-    t_half = math.fsum(vals[: max(1, N // 2)])
-    t_n = math.fsum(vals[:N])
-    t_2n = math.fsum(vals)
+    t_half, t_n, t_2n = window_statistic(math.fsum, vals, N)
     verdict = monotone_verdict(t_half, t_n, t_2n, N, tol)
     return DualReport("alpha", m, verdict, GNum(t_n))
 
@@ -120,80 +95,62 @@ def alpha_alpha_dual_test(
 ) -> DualReport:
     """Boundedness of k^-m |ln a_k| by the three-window protocol."""
     m = check_order(m)
-    _validate(N, tol)
+    partial, verdict = weighted_sup(a, 0, -float(m), N, tol)
+    return DualReport("alpha_alpha", m, verdict, partial)
+
+
+def _tail_total(logs: np.ndarray) -> float:
+    """Sum of |R_k| over the block, R_k being the sum of the logs after k."""
+    tails = np.cumsum(logs[::-1])[::-1][1:]
+    return math.fsum(np.abs(tails))
+
+
+def _first_order_test(
+    kind: str,
+    label: str,
+    condition: Callable[[np.ndarray, int, float], Verdict],
+    a: GSeq,
+    N: int,
+    tol: float,
+) -> DualReport:
+    """A condition on the partial sums of k ln a_k, joined with the
+    summability of |ln R_k| truncated at the same window (m = 1)."""
+    check_window(N, tol)
     logs = a.log_values(1, 2 * N)
     ks = np.arange(1, 2 * N + 1, dtype=np.float64)
-    vals = np.power(ks, -float(m)) * np.abs(logs)
-    s_half = float(np.max(vals[: max(1, N // 2)]))
-    s_n = float(np.max(vals[:N]))
-    s_2n = float(np.max(vals))
-    verdict = monotone_verdict(s_half, s_n, s_2n, N, tol)
-    return DualReport("alpha_alpha", m, verdict, GNum(s_n))
+    partials = np.cumsum(ks * logs)
+    cond = condition(partials, N, tol)
+    cond_tails = monotone_verdict(*window_statistic(_tail_total, logs, N), N, tol)
+    joint = conjunction(cond, cond_tails)
+    overall = Verdict(
+        joint,
+        cond.estimate if joint is VerdictKind.FINITE else None,
+        N,
+        cond.probe_n,
+        cond.probe_2n,
+        f"{label} {cond.kind.value}; tails {cond_tails.kind.value}",
+    )
+    return DualReport(
+        kind, 1, overall, GNum(float(partials[N - 1])), remainder_ok=cond_tails
+    )
 
 
-def _remainder_condition(logs: np.ndarray, N: int, tol: float) -> Verdict:
-    """Summability of |ln R_k| where R_k is the tail product after k,
-    truncated at the same window as the outer sum."""
-    totals = []
-    for w in (max(2, N // 2), N, 2 * N):
-        chunk = logs[:w]
-        sfx = np.concatenate([np.cumsum(chunk[::-1])[::-1], [0.0]])
-        totals.append(math.fsum(np.abs(sfx[1:])))
-    return monotone_verdict(totals[0], totals[1], totals[2], N, tol)
-
-
-def _first_order_series(a: GSeq, N: int) -> tuple[np.ndarray, np.ndarray]:
-    logs = a.log_values(1, 2 * N)
-    ks = np.arange(1, 2 * N + 1, dtype=np.float64)
-    return logs, np.cumsum(ks * logs)
+def _bounded_partials(partials: np.ndarray, N: int, tol: float) -> Verdict:
+    return monotone_verdict(*window_statistic(np.max, np.abs(partials), N), N, tol)
 
 
 def beta_dual_test(
     a: GSeq, N: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL
 ) -> DualReport:
     """Signed convergence of sum k ln a_k plus the tail condition (m = 1)."""
-    _validate(N, tol)
-    logs, partials = _first_order_series(a, N)
-    cond_series = signed_series_verdict(partials, N, tol)
-    cond_tails = _remainder_condition(logs, N, tol)
-    kind = conjunction(cond_series, cond_tails)
-    overall = Verdict(
-        kind,
-        cond_series.estimate if kind is VerdictKind.FINITE else None,
-        N,
-        cond_series.probe_n,
-        cond_series.probe_2n,
-        f"series {cond_series.kind.value}; tails {cond_tails.kind.value}",
-    )
-    return DualReport(
-        "beta", 1, overall, GNum(float(partials[N - 1])), remainder_ok=cond_tails
-    )
+    return _first_order_test("beta", "series", signed_series_verdict, a, N, tol)
 
 
 def gamma_dual_test(
     a: GSeq, N: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL
 ) -> DualReport:
     """Bounded partial sums of k ln a_k plus the tail condition (m = 1)."""
-    _validate(N, tol)
-    logs, partials = _first_order_series(a, N)
-    mags = np.abs(partials)
-    sup_half = float(np.max(mags[: max(1, N // 2)]))
-    sup_n = float(np.max(mags[:N]))
-    sup_2n = float(np.max(mags))
-    cond_bounded = monotone_verdict(sup_half, sup_n, sup_2n, N, tol)
-    cond_tails = _remainder_condition(logs, N, tol)
-    kind = conjunction(cond_bounded, cond_tails)
-    overall = Verdict(
-        kind,
-        cond_bounded.estimate if kind is VerdictKind.FINITE else None,
-        N,
-        cond_bounded.probe_n,
-        cond_bounded.probe_2n,
-        f"partial sups {cond_bounded.kind.value}; tails {cond_tails.kind.value}",
-    )
-    return DualReport(
-        "gamma", 1, overall, GNum(float(partials[N - 1])), remainder_ok=cond_tails
-    )
+    return _first_order_test("gamma", "partial sups", _bounded_partials, a, N, tol)
 
 
 def dual_test(

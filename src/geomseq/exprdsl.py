@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from typing import Union
@@ -75,6 +75,13 @@ class ExprAst:
     value: float | None = None
     exact: Exact | None = None
     literal: str | None = None
+    #: Levels from this node down to its deepest leaf; the evaluators and
+    #: the printer recurse this deep.
+    height: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        height = 1 + max((c.height for c in self.children), default=0)
+        object.__setattr__(self, "height", height)
 
 
 def _const_node(text: str, offset: int) -> ExprAst:
@@ -104,6 +111,13 @@ _SINGLE = {
 }
 
 _BASE_EXPECTED = ("number", "k", "e", "(", "exp", "ln")
+
+#: Deepest nesting the parser accepts, counted two ways: open parentheses,
+#: ``exp(``/``ln(`` and ``^`` on the way down (the descent spends up to four
+#: stack frames per level), and operator levels of the finished tree (which
+#: a long ``k+k+...`` chain also builds).  Both stay well inside the
+#: interpreter's default recursion limit.
+MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -158,6 +172,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -175,6 +190,21 @@ class _Parser:
             )
         return self.advance()
 
+    def descend(self, expected: tuple[str, ...]) -> None:
+        """Enter one nesting level at the current token."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels", self.cur.pos, expected
+            )
+        self.depth += 1
+
+    def node(self, kind: str, children: tuple[ExprAst, ...], tok: _Token) -> ExprAst:
+        """An operator node built at ``tok``, refused beyond the cap."""
+        node = ExprAst(kind, children)
+        if node.height > MAX_NESTING + 1:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+        return node
+
     def parse(self) -> ExprAst:
         node = self.expr()
         if self.cur.kind != "end":
@@ -188,25 +218,27 @@ class _Parser:
     def expr(self) -> ExprAst:
         node = self.term()
         while self.cur.kind in ("+", "-"):
-            op = self.advance().kind
+            tok = self.advance()
             rhs = self.term()
-            node = ExprAst("add" if op == "+" else "sub", (node, rhs))
+            node = self.node("add" if tok.kind == "+" else "sub", (node, rhs), tok)
         return node
 
     def term(self) -> ExprAst:
         node = self.factor()
         while self.cur.kind in ("*", "/"):
-            op = self.advance().kind
+            tok = self.advance()
             rhs = self.factor()
-            node = ExprAst("mul" if op == "*" else "div", (node, rhs))
+            node = self.node("mul" if tok.kind == "*" else "div", (node, rhs), tok)
         return node
 
     def factor(self) -> ExprAst:
         node = self.base()
         if self.cur.kind == "^":
-            self.advance()
+            self.descend(("+", "-", "*", "/", ")", "end of input"))
+            tok = self.advance()
             rhs = self.factor()  # right associative
-            node = ExprAst("pow", (node, rhs))
+            self.depth -= 1
+            node = self.node("pow", (node, rhs), tok)
         return node
 
     def base(self) -> ExprAst:
@@ -221,16 +253,20 @@ class _Parser:
             self.advance()
             return ExprAst("e")
         if tok.kind == "(":
+            self.descend(("number", "k", "e"))
             self.advance()
             node = self.expr()
             self.expect(")", (")",))
+            self.depth -= 1
             return node
         if tok.kind in ("exp", "ln"):
+            self.descend(("number", "k", "e"))
             self.advance()
             self.expect("(", ("(",))
             inner = self.expr()
             self.expect(")", (")",))
-            return ExprAst(tok.kind, (inner,))
+            self.depth -= 1
+            return self.node(tok.kind, (inner,), tok)
         raise ParseError(f"unexpected {tok.kind!r}", tok.pos, _BASE_EXPECTED)
 
 

@@ -21,14 +21,14 @@ head-flattening map sometimes written as a separate "s" transform is just
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
+from .codec import Report, json_key
 from .garith import GNum
-from .gdiff import check_order, d_operator, delta_binomial
+from .gdiff import check_order, delta_binomial
 from .gseq import (
     DEFAULT_TOL,
     DEFAULT_WINDOW,
@@ -36,10 +36,12 @@ from .gseq import (
     Verdict,
     VerdictKind,
     _limit_probe_detail,
+    check_window,
     conjunction,
     monotone_verdict,
     seq_from_expr,
     seq_odot,
+    window_statistic,
 )
 
 __all__ = [
@@ -59,7 +61,7 @@ SPACES = ("linf", "c", "c0")
 
 
 @dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(Report):
     """Classification of one sequence against one space at one order."""
 
     space: str
@@ -76,40 +78,6 @@ class MembershipReport:
     def member(self) -> bool:
         return self.verdict.kind is VerdictKind.FINITE
 
-    def to_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "m": self.m,
-            "verdict": self.verdict.to_dict(),
-            "witness_index": self.witness_index,
-            "window": self.window,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "MembershipReport":
-        return MembershipReport(
-            space=d["space"],
-            m=int(d["m"]),
-            verdict=Verdict.from_dict(d["verdict"]),
-            witness_index=None if d.get("witness_index") is None else int(d["witness_index"]),
-            window=int(d["window"]),
-        )
-
-
-def _validate(N: int, tol: float) -> None:
-    if not isinstance(N, int) or N < 4:
-        raise ValueError(f"classification needs a window N >= 4, got {N!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-
-
-def _sup_checkpoints(vals: np.ndarray, N: int) -> tuple[float, float, float, int]:
-    s_half = float(np.max(vals[: max(1, N // 2)]))
-    s_n = float(np.max(vals[:N]))
-    s_2n = float(np.max(vals))
-    witness = int(np.argmax(vals)) + 1
-    return s_half, s_n, s_2n, witness
-
 
 def classify(
     x: GSeq,
@@ -122,40 +90,26 @@ def classify(
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}, got {space!r}")
     m = check_order(m)
-    _validate(N, tol)
+    check_window(N, tol)
     diff = delta_binomial(x, m)
 
     if space == "linf":
         vals = np.abs(diff.log_values(1, 2 * N))
-        s_half, s_n, s_2n, witness = _sup_checkpoints(vals, N)
-        verdict = monotone_verdict(s_half, s_n, s_2n, N, tol)
-        return MembershipReport(
-            space, m, verdict,
-            witness if verdict.kind is VerdictKind.DIVERGED else None, N,
-        )
-
-    verdict, witness = _limit_probe_detail(diff, N, tol)
-    if space == "c":
-        return MembershipReport(
-            space, m, verdict,
-            witness if verdict.kind is VerdictKind.DIVERGED else None, N,
-        )
-
-    # c0: a geometric limit must additionally be the geometric zero.
-    if verdict.kind is VerdictKind.FINITE:
-        est = verdict.estimate
-        assert est is not None
-        if abs(est.log_value) > tol:
-            flipped = Verdict(
-                VerdictKind.DIVERGED,
-                est,
-                verdict.window,
-                verdict.probe_n,
-                verdict.probe_2n,
-                "converges away from the geometric zero",
+        verdict = monotone_verdict(*window_statistic(np.max, vals, N), N, tol)
+        witness = int(np.argmax(vals)) + 1
+    else:
+        verdict, witness = _limit_probe_detail(diff, N, tol)
+        # c0: a geometric limit must additionally be the geometric zero.
+        if (
+            space == "c0"
+            and verdict.kind is VerdictKind.FINITE
+            and abs(verdict.estimate.log_value) > tol
+        ):
+            verdict = replace(
+                verdict,
+                kind=VerdictKind.DIVERGED,
+                note="converges away from the geometric zero",
             )
-            return MembershipReport(space, m, flipped, witness, N)
-        return MembershipReport(space, m, verdict, None, N)
     return MembershipReport(
         space, m, verdict,
         witness if verdict.kind is VerdictKind.DIVERGED else None, N,
@@ -175,22 +129,23 @@ def weighted_sup(
     stability through 2N by the shared protocol.
     """
     diff_order = check_order(diff_order)
-    _validate(N, tol)
+    check_window(N, tol)
     diff = delta_binomial(x, diff_order)
     ks = np.arange(1, 2 * N + 1, dtype=np.float64)
     vals = np.power(ks, float(weight_exp)) * np.abs(diff.log_values(1, 2 * N))
-    s_half, s_n, s_2n, _ = _sup_checkpoints(vals, N)
-    verdict = monotone_verdict(s_half, s_n, s_2n, N, tol)
-    return GNum(s_n), verdict
+    s_half, s_n, s_2n = window_statistic(np.max, vals, N)
+    return GNum(s_n), monotone_verdict(s_half, s_n, s_2n, N, tol)
 
 
 @dataclass(frozen=True)
-class LemmaEquivalenceReport:
+class LemmaEquivalenceReport(Report):
     """Bounded first difference vs the weighted two-part condition."""
 
-    cond_a: Verdict
-    cond_b_i: Verdict
-    cond_b_ii: Verdict
+    derived = ("b_kind", "agreement")
+
+    cond_a: Verdict = field(metadata=json_key("parts", "a"))
+    cond_b_i: Verdict = field(metadata=json_key("parts", "b_i"))
+    cond_b_ii: Verdict = field(metadata=json_key("parts", "b_ii"))
     window: int
 
     @property
@@ -208,28 +163,6 @@ class LemmaEquivalenceReport:
             or self.b_kind is VerdictKind.INCONCLUSIVE
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "parts": {
-                "a": self.cond_a.to_dict(),
-                "b_i": self.cond_b_i.to_dict(),
-                "b_ii": self.cond_b_ii.to_dict(),
-            },
-            "b_kind": self.b_kind.value,
-            "agreement": self.agreement,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "LemmaEquivalenceReport":
-        parts = d["parts"]
-        return LemmaEquivalenceReport(
-            cond_a=Verdict.from_dict(parts["a"]),
-            cond_b_i=Verdict.from_dict(parts["b_i"]),
-            cond_b_ii=Verdict.from_dict(parts["b_ii"]),
-            window=int(d["window"]),
-        )
-
 
 def lemma_equivalence_check(
     x: GSeq, N: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL
@@ -241,7 +174,7 @@ def lemma_equivalence_check(
     sup (1/k)|ln x_k|; part (b)(ii) is sup |ln x_k - (k/(k+1)) ln x_{k+1}|.
     The report exposes whether (a) agrees with the conjunction of (b).
     """
-    _validate(N, tol)
+    check_window(N, tol)
     logs = x.log_values(1, 2 * N + 1)
     ks = np.arange(1, 2 * N + 1, dtype=np.float64)
     head = logs[:-1]
@@ -249,17 +182,19 @@ def lemma_equivalence_check(
     a_vals = np.abs(head - tail)
     b_i_vals = np.abs(head) / ks
     b_ii_vals = np.abs(head - (ks / (ks + 1.0)) * tail)
-    verdicts = []
-    for vals in (a_vals, b_i_vals, b_ii_vals):
-        s_half, s_n, s_2n, _ = _sup_checkpoints(vals, N)
-        verdicts.append(monotone_verdict(s_half, s_n, s_2n, N, tol))
+    verdicts = [
+        monotone_verdict(*window_statistic(np.max, vals, N), N, tol)
+        for vals in (a_vals, b_i_vals, b_ii_vals)
+    ]
     return LemmaEquivalenceReport(*verdicts, window=N)
 
 
 @dataclass(frozen=True)
-class InclusionDemoReport:
+class InclusionDemoReport(Report):
     """Strictness of the inclusion between consecutive difference orders,
     demonstrated on the witness sequence e^(k^m)."""
+
+    derived = ("holds",)
 
     m: int
     witness_source: str
@@ -276,28 +211,6 @@ class InclusionDemoReport:
             and self.at_order_m_plus_1.member
             and self.chain_c.member
             and self.chain_linf.member
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "witness_source": self.witness_source,
-            "at_order_m": self.at_order_m.to_dict(),
-            "at_order_m_plus_1": self.at_order_m_plus_1.to_dict(),
-            "chain_c": self.chain_c.to_dict(),
-            "chain_linf": self.chain_linf.to_dict(),
-            "holds": self.holds,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "InclusionDemoReport":
-        return InclusionDemoReport(
-            m=int(d["m"]),
-            witness_source=d["witness_source"],
-            at_order_m=MembershipReport.from_dict(d["at_order_m"]),
-            at_order_m_plus_1=MembershipReport.from_dict(d["at_order_m_plus_1"]),
-            chain_c=MembershipReport.from_dict(d["chain_c"]),
-            chain_linf=MembershipReport.from_dict(d["chain_linf"]),
         )
 
 
@@ -327,9 +240,11 @@ def inclusion_demo(
 
 
 @dataclass(frozen=True)
-class AlgebraCounterexampleReport:
+class AlgebraCounterexampleReport(Report):
     """Termwise geometric products escape the space: x and y in c0 at
     order m while x (.) y is not."""
+
+    derived = ("holds",)
 
     m: int
     x_source: str
@@ -345,28 +260,6 @@ class AlgebraCounterexampleReport:
             and self.y_report.member
             and not self.product_report.member
             and self.product_report.verdict.kind is VerdictKind.DIVERGED
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "x_source": self.x_source,
-            "y_source": self.y_source,
-            "x_report": self.x_report.to_dict(),
-            "y_report": self.y_report.to_dict(),
-            "product_report": self.product_report.to_dict(),
-            "holds": self.holds,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "AlgebraCounterexampleReport":
-        return AlgebraCounterexampleReport(
-            m=int(d["m"]),
-            x_source=d["x_source"],
-            y_source=d["y_source"],
-            x_report=MembershipReport.from_dict(d["x_report"]),
-            y_report=MembershipReport.from_dict(d["y_report"]),
-            product_report=MembershipReport.from_dict(d["product_report"]),
         )
 
 

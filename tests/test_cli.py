@@ -2,6 +2,7 @@
 envelopes, exit codes, file input, and the lossless report round-trip."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -124,6 +125,75 @@ class TestRoundTrip:
         assert rebuilt == direct
 
 
+def keys(d: dict) -> list:
+    """Ordered nested keys of an envelope, as they are printed."""
+    return [(k, keys(v)) if isinstance(v, dict) else k for k, v in d.items()]
+
+
+VERDICT = ["kind", "estimate_log", "window"]
+DIAGNOSTICS = ["probe_N", "probe_2N", "note"]
+REPORT_VERDICT = VERDICT + DIAGNOSTICS
+MEMBERSHIP = ["space", "m", ("verdict", REPORT_VERDICT), "witness_index", "window"]
+
+
+class TestEnvelopeKeys:
+    def test_classify(self):
+        env = run_json("classify", "--seq", "exp(k)", "--space", "c0", "--m", "2",
+                       "--N", "1000")
+        assert keys(env) == [
+            "command",
+            ("inputs", ["seq", "space", "m", "N", "tol"]),
+            ("verdict", VERDICT),
+            ("diagnostics", DIAGNOSTICS),
+            "witness_index",
+            "member",
+        ]
+
+    def test_dual(self):
+        env = run_json("dual", "--kind", "gamma", "--seq", "exp(2^(0-k))", "--N", "1000")
+        assert keys(env) == [
+            "command",
+            ("inputs", ["seq", "kind", "m", "N", "tol"]),
+            ("verdict", VERDICT),
+            ("diagnostics", DIAGNOSTICS),
+            "witness_index",
+            "member",
+            "partial_log",
+            ("remainder_ok", REPORT_VERDICT),
+        ]
+        assert env["witness_index"] is None
+
+    def test_lemma(self):
+        env = run_json("lemma", "--seq", "exp(k)", "--N", "1000")
+        assert keys(env) == [
+            "command",
+            ("inputs", ["seq", "N", "tol"]),
+            "agreement",
+            "has_inconclusive",
+            ("cond_a", REPORT_VERDICT),
+            ("cond_b_i", REPORT_VERDICT),
+            ("cond_b_ii", REPORT_VERDICT),
+            "window",
+        ]
+
+    def test_demo(self):
+        env = run_json("demo", "--which", "algebra", "--m", "2", "--N", "1000")
+        assert keys(env) == [
+            "command",
+            ("inputs", ["which", "m", "N", "tol"]),
+            "holds",
+            ("report", [
+                "m",
+                "x_source",
+                "y_source",
+                ("x_report", MEMBERSHIP),
+                ("y_report", MEMBERSHIP),
+                ("product_report", MEMBERSHIP),
+                "holds",
+            ]),
+        ]
+
+
 class TestFileInput:
     def test_values_file(self, tmp_path):
         buf = tmp_path / "values.txt"
@@ -145,6 +215,11 @@ class TestFileInput:
         assert proc.returncode == 1
         err = json.loads(proc.stdout)["error"]
         assert err["type"] == "NonPositiveValue"
+
+    def test_expression_longer_than_a_file_name(self):
+        src = "+".join(["k"] * 130)  # 259 characters
+        env = run_json("eval", "--seq", src, "--range", "1..2")
+        assert env["rows"][0]["log_value"] == math.log(130)
 
     def test_malformed_line_is_an_error(self, tmp_path):
         buf = tmp_path / "bad.txt"
@@ -173,6 +248,17 @@ class TestErrors:
         proc = run_cli("diff", "--seq", "exp(k)", "--m", "61", "--range", "1..2")
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"]["type"] == "OverflowError"
+
+    @pytest.mark.parametrize(
+        "src, offset",
+        [("(" * 3000 + "k" + ")" * 3000, 200), ("+".join(["k"] * 1000), 401)],
+    )
+    def test_nesting_cap_is_a_parse_error(self, src, offset):
+        proc = run_cli("eval", "--seq", src)
+        assert proc.returncode == 1
+        err = json.loads(proc.stdout)["error"]
+        assert err["type"] == "ParseError"
+        assert err["offset"] == offset
 
     def test_beta_order_restriction(self):
         proc = run_cli("dual", "--kind", "beta", "--m", "2", "--seq", "e", "--N", "10000")

@@ -6,6 +6,7 @@ import pytest
 
 from geomseq import DomainError, NonPositiveValue, ParseError, parse, to_source
 from geomseq.exprdsl import (
+    MAX_NESTING,
     eval_at,
     eval_exact,
     eval_log,
@@ -153,6 +154,33 @@ class TestParseErrors:
     def test_error_message_carries_offset(self):
         with pytest.raises(ParseError, match="offset 6"):
             parse("exp(k^")
+
+    def test_nesting_cap_is_a_parse_error(self):
+        with pytest.raises(ParseError) as exc:
+            parse("(" * 3000 + "k" + ")" * 3000)
+        assert exc.value.offset == MAX_NESTING
+        assert "k" in exc.value.expected
+        with pytest.raises(ParseError) as exc:
+            parse("k" + "^k" * 1000)
+        assert exc.value.offset == 1 + 2 * MAX_NESTING
+        assert exc.value.expected
+        # a flat chain builds a tree as deep as it is long
+        with pytest.raises(ParseError) as exc:
+            parse("+".join(["k"] * 1000))
+        assert exc.value.offset == 1 + 2 * MAX_NESTING
+
+    @pytest.mark.parametrize("opener", ["(", "exp(", "ln("])
+    def test_nesting_at_the_cap_parses(self, opener):
+        assert MAX_NESTING >= 200
+        assert parse(opener * MAX_NESTING + "k" + ")" * MAX_NESTING) is not None
+        assert parse("k" + "^k" * MAX_NESTING).kind == "pow"
+        with pytest.raises(ParseError):
+            parse(opener * (MAX_NESTING + 1) + "k" + ")" * (MAX_NESTING + 1))
+
+    def test_operator_levels_at_the_cap_parse(self):
+        assert parse("+".join(["k"] * (MAX_NESTING + 1))).height == MAX_NESTING + 1
+        with pytest.raises(ParseError):
+            parse("exp(" + "*".join(["k"] * (MAX_NESTING + 1)) + ")")
 
 
 class TestEvaluation:

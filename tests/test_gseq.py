@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from geomseq import (
     GNum,
@@ -33,6 +34,7 @@ from geomseq.gseq import (
     conjunction,
     monotone_verdict,
     signed_series_verdict,
+    window_statistic,
 )
 
 
@@ -268,3 +270,28 @@ class TestVerdictProtocol:
         assert conjunction(fin, div) is VerdictKind.DIVERGED
         assert conjunction(inc, div) is VerdictKind.DIVERGED
         assert conjunction(fin, inc) is VerdictKind.INCONCLUSIVE
+
+
+class TestWindowStatistic:
+    @given(
+        st.integers(min_value=4, max_value=300),
+        st.data(),
+        st.sampled_from([np.max, math.fsum]),
+    )
+    def test_equals_direct_prefix_reductions(self, N, data, stat):
+        offset = data.draw(st.integers(min_value=0, max_value=N - 2))
+        vals = np.array(
+            data.draw(
+                st.lists(
+                    st.floats(min_value=-1e6, max_value=1e6),
+                    min_size=2 * N - offset,
+                    max_size=2 * N - offset,
+                )
+            )
+        )
+        terms = range(offset + 1, 2 * N + 1)  # the term each value belongs to
+        ends = (max(offset + 1, N // 2), N, 2 * N)
+        direct = tuple(
+            float(stat([v for k, v in zip(terms, vals) if k <= end])) for end in ends
+        )
+        assert window_statistic(stat, vals, N, offset) == direct
