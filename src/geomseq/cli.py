@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -377,10 +378,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
-    except (GeometricError, ValueError, OverflowError, LookupError, OSError) as exc:
-        print(json.dumps(_error_payload(exc), indent=2))
+        try:
+            code = _run(args)
+        except (GeometricError, ValueError, OverflowError, LookupError, OSError) as exc:
+            print(json.dumps(_error_payload(exc), indent=2))
+            code = EXIT_ERROR
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head``): no traceback, no exit-time flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

@@ -15,28 +15,31 @@ is evaluated through its exponent: the log of the term is f(k) computed
 directly, so e^(k^4) never exists as a float value.  Inner ``exp`` nodes
 evaluate numerically and may overflow to a :class:`DomainError`.
 
-Three evaluators share the AST:
+Three evaluators and one lowering share the AST:
 
 * :func:`eval_value` / :func:`eval_value_array` work in the value domain;
 * :func:`eval_at` produces a :class:`GNum` using the top-level exp shortcut;
-* :func:`eval_log_exact` derives the exact rational log of the term where
-  one exists (rational exponents under exp, integer powers, products), so
-  downstream difference operators can cancel huge exponents exactly.
+* :func:`lower_log` turns the log of the term into one exact rational
+  function of k where the structure allows (rational exponents under exp,
+  integer powers, products), for difference operators to cancel exactly;
+* :func:`eval_exact` / :func:`eval_log_exact`, per term with Fractions, are
+  the reference oracle for that lowering; no access path calls them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from typing import Union
 
 import numpy as np
 
 from .errors import DomainError, NonPositiveValue, ParseError
 from .garith import GNum
+from .ratfunc import Exact, NotExact, RatFunc
 
 __all__ = [
     "ExprAst",
@@ -48,13 +51,12 @@ __all__ = [
     "eval_log",
     "eval_log_array",
     "eval_log_exact",
+    "lower_log",
 ]
 
-Exact = Union[int, Fraction]
-
-# Bail out of exact arithmetic once integers grow past this; the float path
-# takes over per term.  2^600 is far beyond anything a difference of
-# catalog exponents produces while still catching 2^(-k) style blowups.
+# The per-term oracle declines (returns None) once integers grow past this.
+# 2^600 is far beyond anything a difference of catalog exponents produces
+# while still catching 2^(-k) style blowups.
 _EXACT_LIMIT = 1 << 600
 
 
@@ -86,12 +88,16 @@ class ExprAst:
 
 def _const_node(text: str, offset: int) -> ExprAst:
     try:
-        exact = Fraction(Decimal(text))
+        dec = Decimal(text)
     except InvalidOperation:
         raise ParseError(f"bad numeric literal {text!r}", offset)
+    value = float(dec)  # correctly rounded; inf or 0.0 past the float64 range
+    if math.isinf(value) or (value == 0.0 and dec != 0):
+        raise ParseError(f"numeric literal {text!r} outside the float64 range", offset)
+    exact = Fraction(dec)
     if exact.denominator == 1:
         exact = int(exact)
-    return ExprAst("const", value=float(exact), exact=exact, literal=text)
+    return ExprAst("const", value=value, exact=exact, literal=text)
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +117,10 @@ _SINGLE = {
 }
 
 _BASE_EXPECTED = ("number", "k", "e", "(", "exp", "ln")
+_BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 #: Deepest nesting the parser accepts, counted two ways: open parentheses,
-#: ``exp(``/``ln(`` and ``^`` on the way down (the descent spends up to four
+#: ``exp(``/``ln(`` and ``^`` on the way down (the descent spends up to two
 #: stack frames per level), and operator levels of the finished tree (which
 #: a long ``k+k+...`` chain also builds).  Both stay well inside the
 #: interpreter's default recursion limit.
@@ -216,23 +223,43 @@ class _Parser:
         return node
 
     def expr(self) -> ExprAst:
-        node = self.term()
-        while self.cur.kind in ("+", "-"):
-            tok = self.advance()
-            rhs = self.term()
-            node = self.node("add" if tok.kind == "+" else "sub", (node, rhs), tok)
-        return node
-
-    def term(self) -> ExprAst:
+        """Left-associative sums of products in one loop: two frames a level."""
+        total = op = None
         node = self.factor()
-        while self.cur.kind in ("*", "/"):
+        while self.cur.kind in _BINARY:
             tok = self.advance()
-            rhs = self.factor()
-            node = self.node("mul" if tok.kind == "*" else "div", (node, rhs), tok)
+            if tok.kind in ("*", "/"):
+                node = self.node(_BINARY[tok.kind], (node, self.factor()), tok)
+                continue
+            if total is not None:
+                node = self.node(_BINARY[op.kind], (total, node), op)
+            total, op = node, tok
+            node = self.factor()
+        if total is not None:
+            node = self.node(_BINARY[op.kind], (total, node), op)
         return node
 
     def factor(self) -> ExprAst:
-        node = self.base()
+        """An atom, raised to a right-associative power when ``^`` follows."""
+        tok = self.cur
+        if tok.kind == "number":
+            self.advance()
+            node = _const_node(tok.text, tok.pos)
+        elif tok.kind in ("k", "e"):
+            self.advance()
+            node = ExprAst(tok.kind)
+        elif tok.kind in ("(", "exp", "ln"):
+            self.descend(("number", "k", "e"))
+            self.advance()
+            if tok.kind != "(":
+                self.expect("(", ("(",))
+            node = self.expr()
+            self.expect(")", (")",))
+            self.depth -= 1
+            if tok.kind != "(":
+                node = self.node(tok.kind, (node,), tok)
+        else:
+            raise ParseError(f"unexpected {tok.kind!r}", tok.pos, _BASE_EXPECTED)
         if self.cur.kind == "^":
             self.descend(("+", "-", "*", "/", ")", "end of input"))
             tok = self.advance()
@@ -241,40 +268,16 @@ class _Parser:
             node = self.node("pow", (node, rhs), tok)
         return node
 
-    def base(self) -> ExprAst:
-        tok = self.cur
-        if tok.kind == "number":
-            self.advance()
-            return _const_node(tok.text, tok.pos)
-        if tok.kind == "k":
-            self.advance()
-            return ExprAst("k")
-        if tok.kind == "e":
-            self.advance()
-            return ExprAst("e")
-        if tok.kind == "(":
-            self.descend(("number", "k", "e"))
-            self.advance()
-            node = self.expr()
-            self.expect(")", (")",))
-            self.depth -= 1
-            return node
-        if tok.kind in ("exp", "ln"):
-            self.descend(("number", "k", "e"))
-            self.advance()
-            self.expect("(", ("(",))
-            inner = self.expr()
-            self.expect(")", (")",))
-            self.depth -= 1
-            return self.node(tok.kind, (inner,), tok)
-        raise ParseError(f"unexpected {tok.kind!r}", tok.pos, _BASE_EXPECTED)
-
 
 def parse(src: str) -> ExprAst:
     """Parse source text into an AST, or raise ParseError with offset."""
     if not isinstance(src, str) or not src.strip():
         raise ParseError("empty expression", 0, _BASE_EXPECTED)
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    try:
+        return parser.parse()
+    except RecursionError:  # the caller's own stack left too little room
+        raise ParseError("nesting too deep for the interpreter stack", parser.cur.pos) from None
 
 
 # ---------------------------------------------------------------------------
@@ -572,3 +575,58 @@ def eval_log_exact(node: ExprAst, k: int) -> Exact | None:
     if kind == "k":
         return 0 if k == 1 else None
     return None
+
+
+# ---------------------------------------------------------------------------
+# Lowering to one exact rational function of k: the structural twin of
+# eval_log_exact, decided once per expression instead of per term.
+
+
+def lower_log(node: ExprAst) -> RatFunc | None:
+    """The exact log of the term as a rational function of k, or None.
+
+    :func:`eval_log_exact`'s rules on structure alone: ``e`` is 1, ``exp(V)``
+    is V, the constant 1 is 0, ``*`` and ``/`` add and subtract logs, ``b^p``
+    is V(p) times the log of b.  A value V is built from constants, k,
+    ``+ - * /`` and constant integer powers.  Anything else is None: ``ln``,
+    an inner ``exp``, ``e`` in a value, other powers, degrees past
+    :data:`geomseq.ratfunc.MAX_DEGREE`.
+    """
+    try:
+        return _lower_log(node)
+    except NotExact:
+        return None
+
+
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": lambda a, b: a * b**-1}
+
+
+def _lower_log(node: ExprAst) -> RatFunc:
+    kind, ch = node.kind, node.children
+    if kind == "e":
+        return RatFunc.const(1)
+    if kind == "exp":
+        return _lower_value(ch[0])
+    if kind == "const" and node.exact == 1:
+        return RatFunc.const(0)
+    if kind in ("mul", "div"):
+        return _ARITH["add" if kind == "mul" else "sub"](_lower_log(ch[0]), _lower_log(ch[1]))
+    if kind == "pow":
+        return _lower_value(ch[1]) * _lower_log(ch[0])
+    raise NotExact(kind)
+
+
+def _lower_value(node: ExprAst) -> RatFunc:
+    kind, ch = node.kind, node.children
+    if kind == "const":
+        return RatFunc.const(node.exact)
+    if kind == "k":
+        return RatFunc((0, 1))
+    if kind == "pow":
+        p = _lower_value(ch[1]).constant()
+        if p is None or p.denominator != 1:
+            raise NotExact("power without a constant integer exponent")
+        return _lower_value(ch[0]) ** int(p)
+    if kind in _ARITH:
+        return _ARITH[kind](_lower_value(ch[0]), _lower_value(ch[1]))
+    raise NotExact(kind)

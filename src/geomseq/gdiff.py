@@ -12,9 +12,10 @@ default, and the test suite holds them against each other.
 
 Polynomial exponents are the canonical stress case: the m-th difference of
 e^(k^m) is the constant e^((-1)^m * m!) and the (m+1)-st collapses to the
-geometric zero.  Both operators route through the exact rational log path
-of the underlying sequence when one exists, because subtracting float64
-renderings of k^4 near k = 1e4 would leave noise of order 2^m instead.
+geometric zero.  Given an exact form (:class:`~geomseq.gseq.ExactForm`),
+both operators difference it symbolically once, when the view is built, and
+read terms and blocks from it (int64 below 2^53, Python ints beyond);
+float64 renderings of k^4 near k = 1e4 would leave noise of order 2^m.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .garith import GNum
-from .gseq import Exact, GSeq
+from .gseq import GSeq
 
 __all__ = [
     "MAX_ORDER",
@@ -65,40 +66,22 @@ class _DeltaStepView(GSeq):
 
     def __init__(self, child: GSeq):
         self.child = child
+        if child.exact_form is not None:
+            self.exact_form = child.exact_form.shifts([1, -1])
 
     @property
     def length(self) -> Optional[int]:
         n = self.child.length
         return None if n is None else max(0, n - 1)
 
-    @property
-    def has_exact_logs(self) -> bool:
-        return self.child.has_exact_logs
-
-    def log_exact_at(self, k: int) -> Optional[Exact]:
-        a = self.child.log_exact_at(k)
-        if a is None:
-            return None
-        b = self.child.log_exact_at(k + 1)
-        if b is None:
-            return None
-        return a - b
-
     def _log_float(self, k: int) -> float:
         return self.child.log_at(k) - self.child.log_at(k + 1)
 
     def _block(self, start: int, count: int) -> np.ndarray:
-        ex = self.log_exact_block(start, count)
-        if ex is not None:
-            return np.array([float(v) for v in ex], dtype=np.float64)
+        if self.exact_form is not None:
+            return self.exact_form.block(start, count)
         block = self.child.log_values(start, count + 1)
         return block[:-1] - block[1:]
-
-    def log_exact_block(self, start: int, count: int) -> Optional[list[Exact]]:
-        inner = self.child.log_exact_block(start, count + 1)
-        if inner is None:
-            return None
-        return [inner[i] - inner[i + 1] for i in range(count)]
 
 
 class _DeltaBinomialView(GSeq):
@@ -109,51 +92,26 @@ class _DeltaBinomialView(GSeq):
         self.m = check_order(m)
         row = binomial_row(self.m)
         self.coeffs = [c if v % 2 == 0 else -c for v, c in enumerate(row)]
+        if child.exact_form is not None:
+            self.exact_form = child.exact_form.shifts(self.coeffs)
 
     @property
     def length(self) -> Optional[int]:
         n = self.child.length
         return None if n is None else max(0, n - self.m)
 
-    @property
-    def has_exact_logs(self) -> bool:
-        return self.child.has_exact_logs
-
-    def log_exact_at(self, k: int) -> Optional[Exact]:
-        total: Exact = 0
-        for v, c in enumerate(self.coeffs):
-            ex = self.child.log_exact_at(k + v)
-            if ex is None:
-                return None
-            total = total + c * ex
-        return total
-
     def _log_float(self, k: int) -> float:
-        ex = self.log_exact_at(k) if self.child.has_exact_logs else None
-        if ex is not None:
-            return float(ex)
         logs = [self.child.log_at(k + v) for v in range(self.m + 1)]
         return math.fsum(c * u for c, u in zip(self.coeffs, logs))
 
     def _block(self, start: int, count: int) -> np.ndarray:
-        ex = self.log_exact_block(start, count)
-        if ex is not None:
-            return np.array([float(v) for v in ex], dtype=np.float64)
+        if self.exact_form is not None:
+            return self.exact_form.block(start, count)
         block = self.child.log_values(start, count + self.m)
         out = np.zeros(count, dtype=np.float64)
         for v, c in enumerate(self.coeffs):
             out += c * block[v : v + count]
         return out
-
-    def log_exact_block(self, start: int, count: int) -> Optional[list[Exact]]:
-        inner = self.child.log_exact_block(start, count + self.m)
-        if inner is None:
-            return None
-        coeffs = self.coeffs
-        return [
-            sum(c * inner[i + v] for v, c in enumerate(coeffs))
-            for i in range(count)
-        ]
 
 
 class _DOperatorView(GSeq):
@@ -162,19 +120,12 @@ class _DOperatorView(GSeq):
     def __init__(self, child: GSeq, m: int):
         self.child = child
         self.m = check_order(m)
+        if child.exact_form is not None:
+            self.exact_form = child.exact_form.pinned(self.m)
 
     @property
     def length(self) -> Optional[int]:
         return self.child.length
-
-    @property
-    def has_exact_logs(self) -> bool:
-        return self.child.has_exact_logs
-
-    def log_exact_at(self, k: int) -> Optional[Exact]:
-        if k <= self.m:
-            return 0
-        return self.child.log_exact_at(k)
 
     def _log_float(self, k: int) -> float:
         if k <= self.m:
@@ -187,15 +138,6 @@ class _DOperatorView(GSeq):
         if head > 0:
             out[: min(count, head)] = 0.0
         return out
-
-    def log_exact_block(self, start: int, count: int) -> Optional[list[Exact]]:
-        inner = self.child.log_exact_block(start, count)
-        if inner is None:
-            return None
-        head = self.m - start + 1
-        if head > 0:
-            inner = [0] * min(count, head) + inner[min(count, head) :]
-        return inner
 
 
 def delta_recursive(x: GSeq, m: int) -> GSeq:

@@ -4,17 +4,19 @@ A :class:`GSeq` is a 1-indexed sequence of geometric numbers backed by a
 closed-form expression, a finite buffer of logs, or a lazy view over other
 sequences.  Nothing is memoized; every access recomputes.
 
-Sequences expose three access paths:
+Sequences expose two access paths:
 
-* ``term(k)`` / ``log_at(k)``: one term, preferring an exact rational log
-  when the backing expression admits one;
-* ``log_values(start, count)``: a float64 block, vectorized;
-* ``log_exact_block(start, count)``: the exact rational logs for a block,
-  or None when any term lacks a bounded exact form.
+* ``term(k)`` / ``log_at(k)``: one term;
+* ``log_values(start, count)``: a float64 block, vectorized.
 
-Exactness matters because the difference operators downstream subtract
-nearly equal exponents like k^4 at k ~ 1e4, where float64 rounding alone
-would swamp identities that must cancel to zero.
+A sequence may carry an :class:`ExactForm`, exact logs decided once from
+the expression's structure (:func:`geomseq.exprdsl.lower_log`), never by
+probing terms.  ``log_at`` reads it; the difference views difference it
+symbolically and read blocks from it (int64 Horner below 2^53, Python ints
+beyond), because they subtract nearly equal exponents like k^4 at k ~ 1e4,
+where float64 rounding would swamp identities that must cancel to zero.
+:func:`~geomseq.exprdsl.eval_log_exact` is the per-term reference oracle;
+no access path calls it.
 
 Boundedness, convergence and summability over an infinite index set are
 undecidable from finitely many terms, so every numeric claim is issued as a
@@ -28,10 +30,11 @@ thresholds are package constants, shared by every caller.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -40,9 +43,11 @@ from .errors import DomainError, IndexOutOfRange, NonPositiveValue
 from .garith import GNum
 from . import exprdsl
 from .exprdsl import ExprAst
+from .ratfunc import Exact, NotExact, RatFunc
 
 __all__ = [
     "GSeq",
+    "ExactForm",
     "ExpressionSeq",
     "BufferSeq",
     "ConstantSeq",
@@ -67,8 +72,6 @@ __all__ = [
     "DEFAULT_TOL",
     "LOG_MAGNITUDE_LIMIT",
 ]
-
-Exact = Union[int, Fraction]
 
 #: Default probe window N for every verdict-producing operation.
 DEFAULT_WINDOW = 100_000
@@ -231,8 +234,71 @@ def _check_index(k: int) -> int:
     return int(k)
 
 
+def _listed(h: int, value: Callable[[int], Exact]) -> tuple:
+    """``value(k)`` for k = 1..h as constants; where term k reads a pole it
+    gets one too (a zero denominator), raised when the term is read."""
+    out = []
+    for k in range(1, h + 1):
+        try:
+            out.append(RatFunc.const(value(k)))
+        except DomainError:
+            out.append(RatFunc((1,), [()]))
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class ExactForm:
+    """The exact logs of an unbounded sequence: listed constants for the
+    terms k <= len(head), then one rational function of k."""
+
+    tail: RatFunc
+    head: tuple = ()
+
+    def _part(self, k: int) -> RatFunc:
+        return self.tail if k > len(self.head) else self.head[k - 1]
+
+    def exact(self, k: int) -> Exact:
+        return self._part(k).exact(k)
+
+    def at(self, k: int) -> float:
+        return self._part(k).at(k)
+
+    def block(self, start: int, count: int) -> np.ndarray:
+        h = min(count, max(0, len(self.head) - start + 1))
+        head = np.array([self.at(k) for k in range(start, start + h)], dtype=np.float64)
+        return np.concatenate((head, self.tail.block(start + h, count - h)))
+
+    def combine(self, other: "ExactForm", op: Callable) -> Optional["ExactForm"]:
+        """Termwise ``op`` (+ or *) of two forms; None past the size caps."""
+        head = _listed(max(len(self.head), len(other.head)), lambda k: op(self.exact(k), other.exact(k)))
+        try:
+            return ExactForm(op(self.tail, other.tail), head)
+        except NotExact:
+            return None
+
+    def pinned(self, m: int) -> "ExactForm":
+        """Terms 1..m set to log 0, the rest kept."""
+        head = _listed(max(m, len(self.head)), lambda k: 0 if k <= m else self.exact(k))
+        return ExactForm(self.tail, head)
+
+    def shifts(self, coeffs: list[int]) -> Optional["ExactForm"]:
+        """The form of sum_v coeffs[v] * (log of term k+v); None past the caps."""
+        head = _listed(len(self.head), lambda k: sum(c * self.exact(k + v) for v, c in enumerate(coeffs)))
+        try:
+            tail = self.tail * RatFunc.const(coeffs[0])
+            for v, c in enumerate(coeffs[1:], 1):
+                tail = tail + self.tail.shift(v) * RatFunc.const(c)
+        except NotExact:
+            return None
+        return ExactForm(tail, head)
+
+
 class GSeq:
     """Base class: a lazy 1-indexed sequence of geometric numbers."""
+
+    #: The exact logs of every term, when the sequence has a closed rational
+    #: form; ``log_at`` reads it before the float path.
+    exact_form: Optional[ExactForm] = None
 
     @property
     def length(self) -> Optional[int]:
@@ -241,7 +307,7 @@ class GSeq:
 
     @property
     def has_exact_logs(self) -> bool:
-        return False
+        return self.exact_form is not None
 
     # -- single-term access -------------------------------------------------
 
@@ -250,13 +316,15 @@ class GSeq:
 
     def log_at(self, k: int) -> float:
         k = self._bounded(k)
-        ex = self.log_exact_at(k)
-        if ex is not None:
-            return float(ex)
+        if self.exact_form is not None:
+            return self.exact_form.at(k)
         return self._log_float(k)
 
     def log_exact_at(self, k: int) -> Optional[Exact]:
-        return None
+        """The exact log of term k, or None without an exact form."""
+        if self.exact_form is None:
+            return None
+        return self.exact_form.exact(_check_index(k))
 
     def _log_float(self, k: int) -> float:
         raise NotImplementedError
@@ -286,19 +354,10 @@ class GSeq:
         )
 
     def log_exact_block(self, start: int, count: int) -> Optional[list[Exact]]:
-        """Exact logs for a block, or None if any term has no exact form."""
-        if not self.has_exact_logs:
+        """Exact logs for a block, or None without an exact form."""
+        if self.exact_form is None:
             return None
-        start = self._bounded(start)
-        if count:
-            self._bounded(start + count - 1)
-        out: list[Exact] = []
-        for k in range(start, start + count):
-            ex = self.log_exact_at(k)
-            if ex is None:
-                return None
-            out.append(ex)
-        return out
+        return [self.log_exact_at(k) for k in range(start, start + count)]
 
 
 class ExpressionSeq(GSeq):
@@ -311,28 +370,11 @@ class ExpressionSeq(GSeq):
         else:
             self.ast = src
             self.source = exprdsl.to_source(src)
-        self._exact = self._probe_exactness()
-
-    def _probe_exactness(self) -> bool:
-        for k in (1, 2, 3):
-            try:
-                if exprdsl.eval_log_exact(self.ast, k) is not None:
-                    return True
-            except DomainError:
-                continue
-        return False
+        tail = exprdsl.lower_log(self.ast)
+        self.exact_form = None if tail is None else ExactForm(tail)
 
     def __repr__(self) -> str:
         return f"ExpressionSeq({self.source!r})"
-
-    @property
-    def has_exact_logs(self) -> bool:
-        return self._exact
-
-    def log_exact_at(self, k: int) -> Optional[Exact]:
-        if not self._exact:
-            return None
-        return exprdsl.eval_log_exact(self.ast, _check_index(k))
 
     def _log_float(self, k: int) -> float:
         return exprdsl.eval_at(self.ast, k).log_value
@@ -372,22 +414,11 @@ class ConstantSeq(GSeq):
 
     def __init__(self, g: GNum):
         self._log = g.log_value
-        f = Fraction(self._log)  # floats are rationals; this is lossless
-        self._exact: Exact = int(f) if f.denominator == 1 else f
+        # floats are rationals; this is lossless
+        self.exact_form = ExactForm(RatFunc.const(Fraction(self._log)))
 
     def __repr__(self) -> str:
         return f"ConstantSeq(e^{self._log:g})"
-
-    @property
-    def has_exact_logs(self) -> bool:
-        return True
-
-    def log_exact_at(self, k: int) -> Optional[Exact]:
-        _check_index(k)
-        return self._exact
-
-    def _log_float(self, k: int) -> float:
-        return self._log
 
     def _block(self, start: int, count: int) -> np.ndarray:
         return np.full(count, self._log, dtype=np.float64)
@@ -418,9 +449,15 @@ class SparseLogSeq(GSeq):
 
 
 class _BinaryView(GSeq):
+    #: The termwise operation on logs, exact or float.
+    _op: Callable = operator.add
+
     def __init__(self, a: GSeq, b: GSeq):
         self.a = a
         self.b = b
+        fa, fb = a.exact_form, b.exact_form
+        if fa is not None and fb is not None:
+            self.exact_form = fa.combine(fb, self._op)
 
     @property
     def length(self) -> Optional[int]:
@@ -431,22 +468,9 @@ class _BinaryView(GSeq):
             return la
         return min(la, lb)
 
-    @property
-    def has_exact_logs(self) -> bool:
-        return self.a.has_exact_logs and self.b.has_exact_logs
-
 
 class OplusView(_BinaryView):
     """Termwise geometric sum: logs add."""
-
-    def log_exact_at(self, k: int) -> Optional[Exact]:
-        ea = self.a.log_exact_at(k)
-        if ea is None:
-            return None
-        eb = self.b.log_exact_at(k)
-        if eb is None:
-            return None
-        return ea + eb
 
     def _log_float(self, k: int) -> float:
         return self.a.log_at(k) + self.b.log_at(k)
@@ -458,14 +482,7 @@ class OplusView(_BinaryView):
 class OdotView(_BinaryView):
     """Termwise geometric product: logs multiply."""
 
-    def log_exact_at(self, k: int) -> Optional[Exact]:
-        ea = self.a.log_exact_at(k)
-        if ea is None:
-            return None
-        eb = self.b.log_exact_at(k)
-        if eb is None:
-            return None
-        return ea * eb
+    _op = operator.mul
 
     def _log_float(self, k: int) -> float:
         return self.a.log_at(k) * self.b.log_at(k)

@@ -1,0 +1,165 @@
+"""Exact rational functions of k: an integer polynomial over a product of
+integer polynomial factors, never reduced, so poles stay where per-term
+Fraction arithmetic (:func:`geomseq.exprdsl.eval_exact`) puts them.  Sums
+take the lcm of the factor lists.  Values are one correctly rounded division
+of Python ints, equal to ``float(Fraction(n, d))``; blocks use int64 Horner
+when every partial sum stays within 2^53 (no overflow, exact conversion,
+correctly rounded IEEE division) and Python ints otherwise.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from fractions import Fraction
+from functools import reduce
+from typing import Iterable, Union
+
+import numpy as np
+
+from .errors import DomainError
+
+__all__ = ["RatFunc", "NotExact", "MAX_DEGREE", "MAX_BITS"]
+
+#: Caps on an exact form's degree and on the coefficient bits a power may
+#: build; past them the float path takes over.  Powers are checked before
+#: they expand, so ``(k+1)^1000000`` costs nothing.
+MAX_DEGREE, MAX_BITS = 256, 1 << 16
+
+Poly = tuple  # integer coefficients, constant term first, no trailing zeros
+Exact = Union[int, Fraction]
+
+
+class NotExact(Exception):
+    """No exact rational form within the size caps."""
+
+
+def _trim(coeffs: Iterable[int]) -> Poly:
+    c = list(coeffs)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _padd(a: Poly, b: Poly) -> Poly:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a))
+
+
+def _pmul(a: Poly, b: Poly) -> Poly:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _pprod(polys: Iterable[Poly]) -> Poly:
+    return reduce(_pmul, polys, (1,))
+
+
+def _horner(p: Poly, k):
+    return reduce(lambda acc, c: acc * k + c, reversed(p), 0)
+
+
+class RatFunc:
+    """``num(k) / prod(den)``, exact and never reduced."""
+
+    __slots__ = ("num", "den", "den_poly")
+
+    def __init__(self, num: Iterable[int], den: Iterable[Poly] = ()):
+        self.num = _trim(num)
+        self.den = tuple(d for d in den if d != (1,))
+        self.den_poly = _pprod(self.den)
+        if self.degree > MAX_DEGREE:
+            raise NotExact(f"degree {self.degree} exceeds {MAX_DEGREE}")
+
+    @classmethod
+    def const(cls, q: Exact) -> "RatFunc":
+        q = Fraction(q)
+        return cls((q.numerator,), [(q.denominator,)])
+
+    @property
+    def degree(self) -> int:
+        return max(len(self.num), len(self.den_poly)) - 1
+
+    def constant(self) -> Fraction | None:
+        """The value when it does not depend on k (and is defined), else None."""
+        if self.degree > 0 or not self.den_poly:
+            return None
+        return Fraction(self.num[0] if self.num else 0, self.den_poly[0])
+
+    def _over(self, common: Counter) -> Poly:  # num over the factors ``common``
+        return _pmul(self.num, _pprod((common - Counter(self.den)).elements()))
+
+    def __add__(self, other: "RatFunc") -> "RatFunc":
+        common = Counter(self.den) | Counter(other.den)
+        return RatFunc(_padd(self._over(common), other._over(common)), common.elements())
+
+    def __sub__(self, other: "RatFunc") -> "RatFunc":
+        return self + other * RatFunc((-1,))
+
+    def __mul__(self, other: "RatFunc") -> "RatFunc":
+        return RatFunc(_pmul(self.num, other.num), self.den + other.den)
+
+    def reciprocal(self) -> "RatFunc":
+        """``1 / self``, keeping the poles of self: d^2 / (n d)."""
+        return RatFunc(_pmul(self.den_poly, self.den_poly), self.den + (self.num,))
+
+    def __pow__(self, p: int) -> "RatFunc":
+        if p < 0:
+            return self.reciprocal() ** -p
+        bits = max(abs(c).bit_length() for c in self.num + self.den_poly + (1,))
+        if p * self.degree > MAX_DEGREE or p * bits > MAX_BITS:
+            raise NotExact(f"power {p} too large for an exact form")
+        if p == 0:  # one, with the poles of self
+            return RatFunc(self.den_poly, self.den)
+        return RatFunc(reduce(_pmul, [self.num] * p), self.den * p)
+
+    def shift(self, v: int) -> "RatFunc":
+        """The function k -> self(k + v)."""
+
+        def moved(p: Poly) -> Poly:
+            return reduce(lambda acc, c: _padd(_pmul(acc, (v, 1)), (c,)), reversed(p), ())
+
+        return RatFunc(moved(self.num), [moved(d) for d in self.den])
+
+    def _pair(self, k: int) -> tuple[int, int]:
+        n, d = _horner(self.num, k), _horner(self.den_poly, k)
+        if d == 0:
+            raise DomainError(f"division by zero at k={k}")
+        return (-n, -d) if d < 0 else (n, d)
+
+    def exact(self, k: int) -> Exact:
+        q = Fraction(*self._pair(k))
+        return q.numerator if q.denominator == 1 else q
+
+    def at(self, k: int) -> float:
+        """The value at k, correctly rounded; an exact zero is +0.0."""
+        n, d = self._pair(k)
+        try:
+            return n / d
+        except OverflowError:
+            raise DomainError(f"exact log beyond float64 at k={k}")
+
+    def block(self, start: int, count: int) -> np.ndarray:
+        """Values at start .. start+count-1, each equal to :meth:`at`."""
+        k_max = start + count - 1
+        small = all(
+            sum(abs(c) * k_max**i for i, c in enumerate(p)) <= 1 << 53
+            for p in (self.num, self.den_poly)
+        )
+        ks = np.arange(start, start + count, dtype=np.int64)
+        ks = ks if small else ks.astype(object)  # Python ints past 2^53
+        n, d = (_horner(p, ks) + np.zeros(count, ks.dtype) for p in (self.num, self.den_poly))
+        if not d.all():
+            raise DomainError(f"division by zero at k={int(ks[np.argmin(d != 0)])}")
+        n, d = np.where(d < 0, -n, n), np.abs(d)
+        if small:
+            return n.astype(np.float64) / d.astype(np.float64)
+        try:
+            return (n / d).astype(np.float64)
+        except OverflowError:
+            for k in range(start, start + count):
+                self.at(k)  # raises at the first quotient past float64
+            raise

@@ -287,3 +287,24 @@ class TestUsage:
     def test_no_command(self):
         proc = run_cli()
         assert proc.returncode == 64
+
+
+class TestRobustness:
+    def test_literal_beyond_float64_is_a_parse_error(self):
+        proc = run_cli("eval", "--seq", "exp(1e400*k)")
+        assert proc.returncode == 1
+        err = json.loads(proc.stdout)["error"]
+        assert err["type"] == "ParseError"
+        assert err["offset"] == 4
+
+    def test_reader_closing_early_leaves_no_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "geomseq", "eval", "--seq", "exp(k^2/1e300)",
+             "--range", "1..2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # like `| head` exiting before the output is written
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -273,3 +274,36 @@ class TestExactEvaluation:
 
     def test_log_of_ln_form_is_unavailable(self):
         assert eval_log_exact(parse("exp(ln(k))"), 3) is None
+
+
+class TestParserRobustness:
+    def test_nesting_at_the_cap_parses_from_a_deep_stack(self):
+        src = "(" * MAX_NESTING + "k" + ")" * MAX_NESTING
+
+        def nested(depth):
+            return parse(src) if depth == 0 else nested(depth - 1)
+
+        assert nested(190).kind == "k"
+
+    def test_exhausted_stack_is_a_parse_error(self):
+        src = "exp(" * MAX_NESTING + "k" + ")" * MAX_NESTING
+
+        def nested(depth):
+            return parse(src) if depth == 0 else nested(depth - 1)
+
+        frame, used = sys._getframe(), 0
+        while frame is not None:
+            frame, used = frame.f_back, used + 1
+        with pytest.raises(ParseError, match="stack"):
+            nested(sys.getrecursionlimit() - used - 20)  # 20 frames left for parse
+
+    @pytest.mark.parametrize("src, offset", [("1e400", 0), ("k*1e-400", 2), ("exp(2*1" + "0" * 400 + ")", 6)])
+    def test_literal_outside_float64_is_a_parse_error(self, src, offset):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert exc.value.offset == offset
+
+    def test_literals_inside_float64_still_parse(self):
+        assert parse("1.7e308").value == 1.7e308
+        assert parse("5e-324").value == 5e-324
+        assert parse("0.0").value == 0.0
