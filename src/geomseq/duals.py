@@ -41,6 +41,7 @@ from .gseq import (
     VerdictKind,
     check_window,
     conjunction,
+    exact_prefix_sums,
     monotone_verdict,
     signed_series_verdict,
     window_statistic,
@@ -102,7 +103,8 @@ def alpha_alpha_dual_test(
 def _tail_total(logs: np.ndarray) -> float:
     """Sum of |R_k| over the block, R_k being the sum of the logs after k."""
     tails = np.cumsum(logs[::-1])[::-1][1:]
-    return math.fsum(np.abs(tails))
+    np.abs(tails, out=tails)  # a view of a fresh cumsum: no second copy
+    return exact_prefix_sums(tails, (len(tails),))[0]
 
 
 def _first_order_test(

@@ -24,7 +24,10 @@ undecidable from finitely many terms, so every numeric claim is issued as a
 at windows N/2, N and 2N, then classify by stabilization (growth below
 tol), geometric decay of increments (ratio <= 0.8), persistent growth
 (ratio >= 0.95 or log magnitude beyond 1e6), or give up and say so.  The
-thresholds are package constants, shared by every caller.
+thresholds are package constants, shared by every caller.  A sum is read at
+all three windows in one pass: :func:`exact_prefix_sums` carries the exact
+running sum across chunks as one Python int and rounds it once at each
+window end, to the value ``math.fsum`` gives for that prefix.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ __all__ = [
     "remainder",
     "check_window",
     "window_statistic",
+    "exact_prefix_sums",
     "DEFAULT_WINDOW",
     "DEFAULT_TOL",
     "LOG_MAGNITUDE_LIMIT",
@@ -208,6 +212,58 @@ def check_window(N: int, tol: float) -> None:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
 
+#: Terms per chunk of :func:`exact_prefix_sums`.  A chunk's bins sum fewer
+#: than 2^26 integers below 2^27 in float64, which is exact, and its
+#: temporaries are a few 128 KB arrays, so memory does not grow with N.
+SUM_CHUNK = 1 << 14
+
+# A finite float64 is m * 2^(e - 53) with m a 53-bit integer and frexp's
+# exponent e >= -1073, so every term is a whole multiple of 2^-1126.
+_SUM_UNIT = 1 << 1126
+
+
+def _chunk_total(chunk: np.ndarray) -> int:
+    """The exact sum of a finite chunk, in units of 2^-1126."""
+    frac, exp = np.frexp(chunk)
+    frac *= 2.0**27
+    top = np.floor(frac)  # the signed top 27 bits of the 53-bit mantissa
+    frac -= top
+    frac *= 2.0**26  # the low 26 bits, a whole number in [0, 2^26)
+    idx = exp.astype(np.intp)
+    idx += 1073  # a term is mantissa * 2^(idx - 1126); zeros add nothing
+    hi = np.bincount(idx, weights=top)
+    lo = np.bincount(idx, weights=frac)
+    bins = np.flatnonzero((hi != 0) | (lo != 0))
+    total = 0
+    for b, h, l in zip(bins.tolist(), hi[bins].tolist(), lo[bins].tolist()):
+        total += ((int(h) << 26) + int(l)) << b
+    return total
+
+
+def exact_prefix_sums(vals: np.ndarray, ends: Iterable[int]) -> list[float]:
+    """The correctly rounded sums of ``vals[:e]`` for nondecreasing ends e.
+
+    One pass in chunks of :data:`SUM_CHUNK`, carrying the exact running sum
+    as one Python int; equal bit for bit to ``math.fsum(vals[:e])``, except
+    that a sum past float64 is +-inf rather than an ``OverflowError``.  An
+    input holding inf or nan is handed to ``math.fsum`` whole.
+    """
+    ends = [min(int(e), len(vals)) for e in ends]
+    sums, total, start = [], 0, 0
+    for end in ends:
+        while start < end:
+            chunk = vals[start : min(start + SUM_CHUNK, end)]
+            if not np.isfinite(chunk).all():
+                return [math.fsum(vals[:e]) for e in ends]
+            total += _chunk_total(chunk)
+            start += len(chunk)
+        try:
+            sums.append(total / _SUM_UNIT)  # int / int rounds correctly
+        except OverflowError:
+            sums.append(math.inf if total > 0 else -math.inf)
+    return sums
+
+
 def window_statistic(
     stat: Callable[[np.ndarray], float],
     vals: np.ndarray,
@@ -218,10 +274,13 @@ def window_statistic(
 
     ``vals[0]`` holds term ``offset + 1`` and ``vals`` runs through term 2N.
     The first prefix ends at term N/2, or at the first term when N/2 does
-    not lie past the offset.
+    not lie past the offset.  ``math.fsum`` is read at all three ends in one
+    pass of :func:`exact_prefix_sums`.
     """
-    half = max(offset + 1, N // 2)
-    return tuple(float(stat(vals[: end - offset])) for end in (half, N, 2 * N))
+    ends = [end - offset for end in (max(offset + 1, N // 2), N, 2 * N)]
+    if stat is math.fsum:
+        return tuple(exact_prefix_sums(vals, ends))
+    return tuple(float(stat(vals[:end])) for end in ends)
 
 
 # ---------------------------------------------------------------------------
@@ -536,13 +595,13 @@ def term(x: GSeq, k: int) -> GNum:
 
 
 def gsum_partial(x: GSeq, n: int) -> GNum:
-    """Geometric partial sum of the first n terms: exp of the exact
-    compensated sum of logs (math.fsum)."""
+    """Geometric partial sum of the first n terms: exp of the correctly
+    rounded sum of their logs (:func:`exact_prefix_sums`)."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"partial sums want a nonnegative term count, got {n!r}")
     if n == 0:
         return GNum(0.0)
-    return GNum(math.fsum(x.log_values(1, n)))
+    return GNum(exact_prefix_sums(x.log_values(1, n), (n,))[0])
 
 
 def sup_gabs(x: GSeq, N: int) -> GNum:

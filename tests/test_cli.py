@@ -221,6 +221,16 @@ class TestFileInput:
         env = run_json("eval", "--seq", src, "--range", "1..2")
         assert env["rows"][0]["log_value"] == math.log(130)
 
+    @pytest.mark.parametrize("kind", ["alpha", "beta", "gamma"])
+    def test_dual_sums_past_float64_diverge(self, tmp_path, kind):
+        buf = tmp_path / "big.txt"
+        buf.write_text("1e300\n" * 20_000)
+        env = run_json(
+            "dual", "--kind", kind, "--m", "1", "--seq", str(buf), "--logs", "--N", "10000"
+        )
+        assert env["verdict"]["kind"] == "diverged"
+        assert env["diagnostics"]["probe_2N"] == math.inf
+
     def test_malformed_line_is_an_error(self, tmp_path):
         buf = tmp_path / "bad.txt"
         buf.write_text("1.0\nnot-a-number\n")

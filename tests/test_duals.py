@@ -1,6 +1,8 @@
 """Dual-space membership: the four tests, the non-perfectness witnesses,
 and the sparse counterexample construction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from geomseq import (
     counterexample_sequence,
     dual_test,
     gamma_dual_test,
+    remainder,
     seq_from_expr,
     seq_from_logs,
 )
@@ -185,3 +188,28 @@ class TestContainmentAnnotations:
             if ("beta", 1) in ann and ("gamma", 1) in ann:
                 if ann[("beta", 1)].member:
                     assert ann[("gamma", 1)].member, entry.name
+
+
+class TestWindowSums:
+    def test_catalog_sums_equal_direct_fsum(self, catalog):
+        """At workload scale the one-pass window sums are math.fsum's sums."""
+        n = 100_000
+        for entry in catalog:
+            logs = entry.seq.log_values(1, 2 * n)
+            weighted = np.arange(1, 2 * n + 1, dtype=np.float64) * np.abs(logs)
+            alpha = alpha_dual_test(entry.seq, 1, n).verdict
+            assert alpha.probe_n.hex() == math.fsum(weighted[:n]).hex(), entry.name
+            assert alpha.probe_2n.hex() == math.fsum(weighted).hex(), entry.name
+            tail, _ = remainder(entry.seq, 3, n)
+            assert tail.log_value.hex() == math.fsum(logs[3:n]).hex(), entry.name
+            tails = np.cumsum(logs[:n][::-1])[::-1][1:]
+            tail_sum = beta_dual_test(entry.seq, n).remainder_ok.probe_n
+            assert tail_sum.hex() == math.fsum(np.abs(tails)).hex(), entry.name
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["alpha", "beta", "gamma"])
+    def test_sums_past_float64_diverge(self, kind):
+        """A finite buffer whose sums leave float64 reads +inf, not an error."""
+        report = dual_test(seq_from_logs(np.full(20_000, 1e300)), kind, 1, 10_000)
+        assert report.verdict.kind is VerdictKind.DIVERGED
+        assert report.verdict.probe_2n == math.inf

@@ -2,10 +2,12 @@
 three-window verdict protocol they all share."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from geomseq import (
     GNum,
@@ -31,7 +33,9 @@ from geomseq.gseq import (
     BufferSeq,
     ExpressionSeq,
     SparseLogSeq,
+    SUM_CHUNK,
     conjunction,
+    exact_prefix_sums,
     monotone_verdict,
     signed_series_verdict,
     window_statistic,
@@ -295,3 +299,82 @@ class TestWindowStatistic:
             float(stat([v for k, v in zip(terms, vals) if k <= end])) for end in ends
         )
         assert window_statistic(stat, vals, N, offset) == direct
+
+
+def _fsum_or_exact(vals):
+    """``math.fsum``, or where it overflows, the sum taken exactly in
+    Fractions and rounded once (+-inf past float64)."""
+    try:
+        return math.fsum(vals)
+    except OverflowError:
+        total = sum(Fraction(float(v)) * 2**1074 for v in vals)
+        try:
+            return float(Fraction(int(total), 2**1074))
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
+
+
+@st.composite
+def chunk_crossing_arrays(draw):
+    """Arrays of length j * SUM_CHUNK +- a few, with mixed signs, any finite
+    magnitude (subnormals, +-0.0, up to 1e308) and x, -x cancellation runs,
+    plus nondecreasing ends that may fall on or past a chunk boundary."""
+    length = max(0, draw(st.integers(0, 3)) * SUM_CHUNK + draw(st.integers(-2, 2)))
+    pool = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                  min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.choice(pool, size=length) * rng.choice([-1.0, 1.0], size=length)
+    runs = draw(st.sampled_from(["none", "pairs", "mirror"]))
+    if runs == "pairs":  # x, -x, y, -y, ...
+        vals[1::2] = -vals[: length // 2 * 2 : 2]
+    elif runs == "mirror":  # the second half undoes the first, last in first out
+        vals[length - length // 2 :] = -vals[: length // 2][::-1]
+    marks = st.sampled_from([length, length // 2, SUM_CHUNK, SUM_CHUNK - 1, SUM_CHUNK + 1])
+    ends = draw(st.lists(st.integers(0, length + 1) | marks, min_size=1, max_size=4))
+    return vals, sorted(ends)
+
+
+class TestExactPrefixSums:
+    @settings(max_examples=60, deadline=None)
+    @given(chunk_crossing_arrays())
+    def test_equals_fsum_of_each_prefix(self, case):
+        vals, ends = case
+        got = [v.hex() for v in exact_prefix_sums(vals, ends)]
+        assert got == [_fsum_or_exact(vals[:e]).hex() for e in ends]
+
+    @settings(max_examples=30, deadline=None)
+    @given(chunk_crossing_arrays(), st.data())
+    def test_inf_and_nan_behave_as_fsum(self, case, data):
+        vals, ends = case
+        assume(len(vals) > 0)
+        specials = st.sampled_from([math.inf, -math.inf, math.nan])
+        for x in data.draw(st.lists(specials, min_size=1, max_size=3)):
+            vals[data.draw(st.integers(0, len(vals) - 1))] = x
+        try:
+            expected = [math.fsum(vals[:e]).hex() for e in ends]
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc)):
+                exact_prefix_sums(vals, ends)
+        else:
+            assert [v.hex() for v in exact_prefix_sums(vals, ends)] == expected
+
+    def test_overflow_is_infinite(self):
+        big = sys.float_info.max
+        assert exact_prefix_sums(np.full(3, 1e308), [1, 3]) == [1e308, math.inf]
+        assert exact_prefix_sums(np.full(3, -1e308), [3]) == [-math.inf]
+        assert exact_prefix_sums(np.full(20_000, 1e304), [10_000, 20_000]) == [
+            math.fsum([1e304] * 10_000), math.inf]
+        # the halfway point between the largest float and 2^1024 rounds to even: inf
+        assert exact_prefix_sums(np.array([big, 2.0**970]), [2]) == [math.inf]
+        assert exact_prefix_sums(np.array([big, 2.0**969]), [2]) == [big]
+
+    def test_no_intermediate_overflow(self):
+        with pytest.raises(OverflowError):
+            math.fsum([1e308, 1e308, -1e308])
+        assert exact_prefix_sums(np.array([1e308, 1e308, -1e308]), [2, 3]) == [
+            math.inf, 1e308]
+
+    def test_exact_zero_is_positive(self):
+        for vals in ([-0.0], [-0.0, -0.0], [1.5, -1.5], [5e-324, -5e-324]):
+            (total,) = exact_prefix_sums(np.array(vals), [len(vals)])
+            assert total.hex() == "0x0.0p+0"

@@ -1,0 +1,138 @@
+"""Print a digest of every report, CLI output and demo output, one per line.
+
+    python tools/report_digest.py > after.txt
+
+Each line is a record name and the sha256 of what that record produced:
+``json.dumps(report.to_dict(), sort_keys=True)`` for a library report, or a
+CLI command's / demo's stdout, stderr and exit code.  To check that a change
+leaves every output byte-identical, run the script in a checkout of the
+parent commit as well (copy it there if it is new) and ``diff`` the two
+files.  The package is imported from the ``src/`` next to this script.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+
+from geomseq import catalog, duals, gseq, spaces  # noqa: E402
+
+N = 100_000
+
+CLI_COMMANDS = [
+    # the README examples
+    ["eval", "--seq", "exp(1/k)", "--range", "1..5"],
+    ["diff", "--seq", "exp(k^2)", "--m", "2", "--range", "1..5"],
+    ["norm", "--seq", "exp(k)", "--m", "1", "--N", "1000"],
+    ["classify", "--seq", "exp(k)", "--space", "c0", "--m", "2", "--N", "100000"],
+    ["dual", "--kind", "alpha", "--m", "2", "--seq", "exp(1/(k^4))"],
+    ["lemma", "--seq", "exp(k)", "--N", "50000"],
+    ["demo", "--which", "inclusion", "--m", "2"],
+    # csv output, other kinds and spaces, errors
+    ["classify", "--seq", "exp(1/k)", "--space", "linf", "--m", "1", "--format", "csv"],
+    ["dual", "--kind", "gamma", "--seq", "exp(1/k^3)", "--N", "10000", "--format", "csv"],
+    ["dual", "--kind", "beta", "--seq", "exp(2^(0-k))", "--N", "10000"],
+    ["dual", "--kind", "alpha-alpha", "--m", "1", "--seq", "exp(k)", "--N", "10000"],
+    ["demo", "--which", "algebra", "--m", "3", "--format", "csv"],
+    ["lemma", "--seq", "exp(1/k)", "--N", "10000", "--format", "csv"],
+    ["classify", "--seq", "exp(1/k)", "--space", "c", "--m", "0", "--N", "10000"],
+    ["classify", "--seq", "exp(1/k)", "--space", "c0", "--m", "1", "--N", "10000"],
+    ["eval", "--seq", "exp(k^"],
+    ["eval", "--seq", "exp(q)"],
+    # file buffers, read from the working directory
+    ["dual", "--kind", "alpha", "--m", "1", "--seq", "values.txt", "--N", "1000"],
+    ["dual", "--kind", "beta", "--seq", "logs.txt", "--logs", "--N", "1000"],
+    ["classify", "--seq", "logs.txt", "--logs", "--space", "linf", "--m", "1", "--N", "1000"],
+]
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def report_line(name: str, make) -> str:
+    """The digest of ``make()``'s JSON, or of the error it raises."""
+    try:
+        payload = make()
+    except Exception as exc:  # an error is an output too
+        payload = {"error": type(exc).__name__, "message": str(exc)}
+    return f"{name} {digest(json.dumps(payload, sort_keys=True).encode())}"
+
+
+def _pair(result) -> list:
+    value, verdict = result
+    return [value.log_value, verdict.to_dict()]
+
+
+def library_records():
+    for entry in catalog.catalog_entries():
+        x, name = entry.seq, entry.name
+        for space, m in sorted(entry.space_annotations):
+            yield report_line(
+                f"classify[{name}|{space}|{m}]",
+                lambda: spaces.classify(x, space, m, N).to_dict(),
+            )
+        kinds = set(entry.dual_annotations) | {(k, 1) for k in duals.DUAL_KINDS}
+        kinds |= {("alpha", 2), ("alpha", 3)}
+        for kind, m in sorted(kinds):
+            yield report_line(
+                f"dual[{name}|{kind}|{m}]", lambda: duals.dual_test(x, kind, m, N).to_dict()
+            )
+        yield report_line(
+            f"lemma[{name}]", lambda: spaces.lemma_equivalence_check(x, N).to_dict()
+        )
+        yield report_line(
+            f"weighted_sup[{name}]", lambda: _pair(spaces.weighted_sup(x, 0, -1.0, N))
+        )
+        for n, window in ((0, 1000), (3, N), (16383, 50_000)):
+            yield report_line(
+                f"remainder[{name}|{n}|{window}]", lambda: _pair(gseq.remainder(x, n, window))
+            )
+        for n in (0, 1, 16384, 16385, 2 * N):
+            yield report_line(
+                f"gsum_partial[{name}|{n}]", lambda: gseq.gsum_partial(x, n).log_value
+            )
+    for m in range(1, 5):
+        yield report_line(f"inclusion_demo[{m}]", lambda: spaces.inclusion_demo(m, N).to_dict())
+    for m in (2, 3):
+        yield report_line(
+            f"algebra_counterexample[{m}]", lambda: spaces.algebra_counterexample(m, N).to_dict()
+        )
+
+
+def process_line(name: str, argv: list, cwd: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
+    out = b"\0".join([res.stdout, res.stderr, str(res.returncode).encode()])
+    return f"{name} {digest(out)}"
+
+
+def process_records():
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = Path(tmp)
+        ks = range(1, 2001)
+        (cwd / "values.txt").write_text("".join(f"{1 + 1 / k**2!r}\n" for k in ks))
+        (cwd / "logs.txt").write_text("".join(f"{(-1) ** k / k!r}\n" for k in ks))
+        for argv in CLI_COMMANDS:
+            name = "cli[" + " ".join(argv) + "]"
+            yield process_line(name, [sys.executable, "-m", "geomseq", *argv], cwd)
+        for demo in sorted((ROOT / "demos").glob("*.py")):
+            yield process_line(f"demo[{demo.name}]", [sys.executable, str(demo)], cwd)
+
+
+def main() -> None:
+    for line in library_records():
+        print(line, flush=True)
+    for line in process_records():
+        print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()
