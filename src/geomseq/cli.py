@@ -32,6 +32,7 @@ import numpy as np
 
 from .duals import DualReport, dual_test
 from .errors import GeometricError, ParseError
+from .garith import GNum
 from .gdiff import delta_binomial, delta_norm
 from .gseq import (
     DEFAULT_TOL,
@@ -40,7 +41,6 @@ from .gseq import (
     seq_from_expr,
     seq_from_logs,
     seq_from_values,
-    term,
 )
 from .spaces import (
     SPACES,
@@ -236,10 +236,8 @@ def dual_report_from_envelope(env: dict) -> DualReport:
 
 
 def _rows_envelope(command: str, inputs: dict, seq: GSeq, lo: int, hi: int) -> dict:
-    rows = []
-    for k in range(lo, hi + 1):
-        g = term(seq, k)
-        rows.append({"k": k, "log_value": g.log_value, "rendering": g.render()})
+    logs = seq.log_points(np.arange(lo, hi + 1)).tolist()
+    rows = [{"k": k, "log_value": v, "rendering": GNum(v).render()} for k, v in enumerate(logs, lo)]
     return {"command": command, "inputs": inputs, "rows": rows}
 
 

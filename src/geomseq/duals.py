@@ -85,7 +85,9 @@ def alpha_dual_test(
     check_window(N, tol)
     logs = a.log_values(1, 2 * N)
     ks = np.arange(1, 2 * N + 1, dtype=np.float64)
-    vals = np.power(ks, float(m)) * np.abs(logs)
+    with np.errstate(over="ignore", invalid="ignore"):  # past float64 the sum is inf
+        vals = np.power(ks, float(m)) * np.abs(logs)
+    vals[logs == 0.0] = 0.0  # an inf weight on a zero log adds nothing
     t_half, t_n, t_2n = window_statistic(math.fsum, vals, N)
     verdict = monotone_verdict(t_half, t_n, t_2n, N, tol)
     return DualReport("alpha", m, verdict, GNum(t_n))
@@ -102,7 +104,8 @@ def alpha_alpha_dual_test(
 
 def _tail_total(logs: np.ndarray) -> float:
     """Sum of |R_k| over the block, R_k being the sum of the logs after k."""
-    tails = np.cumsum(logs[::-1])[::-1][1:]
+    with np.errstate(over="ignore"):
+        tails = np.cumsum(logs[::-1])[::-1][1:]
     np.abs(tails, out=tails)  # a view of a fresh cumsum: no second copy
     return exact_prefix_sums(tails, (len(tails),))[0]
 
@@ -120,7 +123,11 @@ def _first_order_test(
     check_window(N, tol)
     logs = a.log_values(1, 2 * N)
     ks = np.arange(1, 2 * N + 1, dtype=np.float64)
-    partials = np.cumsum(ks * logs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        partials = np.cumsum(ks * logs)
+    if not np.isfinite(partials[-1]):  # the series passed float64: diverged
+        i = np.flatnonzero(~np.isfinite(partials))[0]
+        partials[i:] = partials[i]  # hold that +-inf rather than form inf - inf
     cond = condition(partials, N, tol)
     cond_tails = monotone_verdict(*window_statistic(_tail_total, logs, N), N, tol)
     joint = conjunction(cond, cond_tails)

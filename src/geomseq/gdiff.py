@@ -8,25 +8,25 @@ log of the m-th difference at k is the alternating binomial combination
 which is the classical m-fold forward difference of the logs up to the sign
 (-1)^m.  Two independent implementations are kept deliberately: the
 recursive chain is the reference oracle, the binomial form is the fast
-default, and the test suite holds them against each other.
+default, and the test suite holds them against each other.  Each reads its
+child once per window, over the count + m terms the window needs.
 
 Polynomial exponents are the canonical stress case: the m-th difference of
 e^(k^m) is the constant e^((-1)^m * m!) and the (m+1)-st collapses to the
 geometric zero.  Given an exact form (:class:`~geomseq.gseq.ExactForm`),
 both operators difference it symbolically once, when the view is built, and
-read terms and blocks from it (int64 below 2^53, Python ints beyond);
+read every window and point from it (int64 below 2^53, Python ints beyond);
 float64 renderings of k^4 near k = 1e4 would leave noise of order 2^m.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from .garith import GNum
-from .gseq import GSeq
+from .gseq import GSeq, exact_prefix_sums
 
 __all__ = [
     "MAX_ORDER",
@@ -74,14 +74,11 @@ class _DeltaStepView(GSeq):
         n = self.child.length
         return None if n is None else max(0, n - 1)
 
-    def _log_float(self, k: int) -> float:
-        return self.child.log_at(k) - self.child.log_at(k + 1)
-
-    def _block(self, start: int, count: int) -> np.ndarray:
+    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
         if self.exact_form is not None:
-            return self.exact_form.block(start, count)
-        block = self.child.log_values(start, count + 1)
-        return block[:-1] - block[1:]
+            return self.exact_form.values(starts[:, None] + np.arange(count))
+        block = self.child._windows(starts, count + 1)
+        return block[:, :-1] - block[:, 1:]
 
 
 class _DeltaBinomialView(GSeq):
@@ -100,17 +97,18 @@ class _DeltaBinomialView(GSeq):
         n = self.child.length
         return None if n is None else max(0, n - self.m)
 
-    def _log_float(self, k: int) -> float:
-        logs = [self.child.log_at(k + v) for v in range(self.m + 1)]
-        return math.fsum(c * u for c, u in zip(self.coeffs, logs))
-
-    def _block(self, start: int, count: int) -> np.ndarray:
+    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
         if self.exact_form is not None:
-            return self.exact_form.block(start, count)
-        block = self.child.log_values(start, count + self.m)
-        out = np.zeros(count, dtype=np.float64)
-        for v, c in enumerate(self.coeffs):
-            out += c * block[v : v + count]
+            return self.exact_form.values(starts[:, None] + np.arange(count))
+        block = self.child._windows(starts, count + self.m)
+        out = np.zeros((len(starts), count))
+        with np.errstate(invalid="ignore"):  # inf - inf is redone below
+            for v, c in enumerate(self.coeffs):
+                out += c * block[:, v : v + count]
+        bad = ~np.isfinite(out)  # a partial sum left float64: redo it at 2^-61
+        if bad.any():
+            redo = sum(c * np.ldexp(block[:, v : v + count][bad], -61) for v, c in enumerate(self.coeffs))
+            out[bad] = np.ldexp(redo, 61)
         return out
 
 
@@ -127,16 +125,15 @@ class _DOperatorView(GSeq):
     def length(self) -> Optional[int]:
         return self.child.length
 
-    def _log_float(self, k: int) -> float:
-        if k <= self.m:
-            return 0.0
-        return self.child.log_at(k)
-
-    def _block(self, start: int, count: int) -> np.ndarray:
-        out = self.child.log_values(start, count)
-        head = self.m - start + 1
-        if head > 0:
-            out[: min(count, head)] = 0.0
+    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
+        head = starts <= self.m  # a pinned term is 0; the child is not read there
+        if not head.any():
+            return self.child._windows(starts, count)
+        out = np.zeros((len(starts), count))
+        out[~head] = self.child._windows(starts[~head], count)
+        for i, h in zip(np.flatnonzero(head), self.m + 1 - starts[head]):
+            if h < count:
+                out[i, h:] = self.child._windows(np.array([self.m + 1]), count - h)[0]
         return out
 
 
@@ -177,7 +174,7 @@ def delta_norm(x: GSeq, m: int, N: int) -> GNum:
     m = check_order(m)
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"norm window must be a positive integer, got {N!r}")
-    head = math.fsum(abs(x.log_at(i)) for i in range(1, m + 1))
+    head = exact_prefix_sums(np.abs(x.log_points(np.arange(1, m + 1))), [m])[0]
     tail_view = delta_binomial(x, m)
     sup = float(np.max(np.abs(tail_view.log_values(1, N))))
     return GNum(head + sup)

@@ -4,17 +4,18 @@ A :class:`GSeq` is a 1-indexed sequence of geometric numbers backed by a
 closed-form expression, a finite buffer of logs, or a lazy view over other
 sequences.  Nothing is memoized; every access recomputes.
 
-Sequences expose two access paths:
-
-* ``term(k)`` / ``log_at(k)``: one term;
-* ``log_values(start, count)``: a float64 block, vectorized.
+Each view has one float read, ``_windows(starts, count)``, the logs of
+terms ``starts[i] + j`` for ``j < count``.  ``log_values(start, count)`` is
+one window; ``log_points(ks)``, ``log_at(k)`` and ``term(k)`` are windows of
+one term, so a term reads the same bits however it is asked for.
 
 A sequence may carry an :class:`ExactForm`, exact logs decided once from
 the expression's structure (:func:`geomseq.exprdsl.lower_log`), never by
-probing terms.  ``log_at`` reads it; the difference views difference it
-symbolically and read blocks from it (int64 Horner below 2^53, Python ints
-beyond), because they subtract nearly equal exponents like k^4 at k ~ 1e4,
-where float64 rounding would swamp identities that must cancel to zero.
+probing terms.  Point reads read it instead of the windows.  The difference
+views difference it symbolically and read their windows from it too,
+because they subtract nearly equal exponents like k^4 at k ~ 1e4, where
+float64 rounding would swamp identities that must cancel to zero.  Other
+exact views keep float windows, whose last bits can differ from the points.
 :func:`~geomseq.exprdsl.eval_log_exact` is the per-term reference oracle;
 no access path calls it.
 
@@ -40,6 +41,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import Report, json_key
 from .errors import DomainError, IndexOutOfRange, NonPositiveValue
@@ -249,6 +251,8 @@ def exact_prefix_sums(vals: np.ndarray, ends: Iterable[int]) -> list[float]:
     input holding inf or nan is handed to ``math.fsum`` whole.
     """
     ends = [min(int(e), len(vals)) for e in ends]
+    if not np.isfinite(vals[max(ends, default=0) :]).all():  # never chunked below
+        return [math.fsum(vals[:e]) for e in ends]
     sums, total, start = [], 0, 0
     for end in ends:
         while start < end:
@@ -322,10 +326,15 @@ class ExactForm:
     def at(self, k: int) -> float:
         return self._part(k).at(k)
 
-    def block(self, start: int, count: int) -> np.ndarray:
-        h = min(count, max(0, len(self.head) - start + 1))
-        head = np.array([self.at(k) for k in range(start, start + h)], dtype=np.float64)
-        return np.concatenate((head, self.tail.block(start + h, count - h)))
+    def values(self, ks: np.ndarray) -> np.ndarray:
+        """:meth:`at` over an int64 index array of any shape."""
+        if ks.min(initial=len(self.head) + 1) > len(self.head):
+            return self.tail.values(ks)
+        listed = ks <= len(self.head)
+        out = np.empty(ks.shape)
+        out[listed] = [self.at(k) for k in ks[listed].tolist()]
+        out[~listed] = self.tail.values(ks[~listed])
+        return out
 
     def combine(self, other: "ExactForm", op: Callable) -> Optional["ExactForm"]:
         """Termwise ``op`` (+ or *) of two forms; None past the size caps."""
@@ -356,7 +365,7 @@ class GSeq:
     """Base class: a lazy 1-indexed sequence of geometric numbers."""
 
     #: The exact logs of every term, when the sequence has a closed rational
-    #: form; ``log_at`` reads it before the float path.
+    #: form; point reads read it instead of the float windows.
     exact_form: Optional[ExactForm] = None
 
     @property
@@ -368,25 +377,26 @@ class GSeq:
     def has_exact_logs(self) -> bool:
         return self.exact_form is not None
 
-    # -- single-term access -------------------------------------------------
-
     def term(self, k: int) -> GNum:
         return GNum(self.log_at(k))
 
     def log_at(self, k: int) -> float:
-        k = self._bounded(k)
+        return float(self.log_points([self._bounded(k)])[0])
+
+    def log_points(self, ks) -> np.ndarray:
+        """Float64 logs of the terms at the ascending indices ``ks``."""
+        ks = np.asarray(ks, dtype=np.int64)
+        if ks.size:
+            self._bounded(int(ks[0]))
+            self._bounded(int(ks[-1]))
         if self.exact_form is not None:
-            return self.exact_form.at(k)
-        return self._log_float(k)
+            return self.exact_form.values(ks)
+        with np.errstate(over="ignore"):  # a log past float64 reads as +-inf
+            return self._windows(ks, 1)[:, 0]
 
     def log_exact_at(self, k: int) -> Optional[Exact]:
         """The exact log of term k, or None without an exact form."""
-        if self.exact_form is None:
-            return None
-        return self.exact_form.exact(_check_index(k))
-
-    def _log_float(self, k: int) -> float:
-        raise NotImplementedError
+        return None if self.exact_form is None else self.exact_form.exact(_check_index(k))
 
     def _bounded(self, k: int) -> int:
         k = _check_index(k)
@@ -395,8 +405,6 @@ class GSeq:
             raise IndexOutOfRange(f"index {k} beyond the {n} defined terms")
         return k
 
-    # -- block access --------------------------------------------------------
-
     def log_values(self, start: int, count: int) -> np.ndarray:
         """Float64 logs of terms start .. start+count-1."""
         start = self._bounded(start)
@@ -404,13 +412,13 @@ class GSeq:
             raise ValueError(f"count must be nonnegative, got {count}")
         if count:
             self._bounded(start + count - 1)
-        return self._block(start, count)
+        with np.errstate(over="ignore"):
+            return self._windows(np.array([start], dtype=np.int64), count)[0]
 
-    def _block(self, start: int, count: int) -> np.ndarray:
-        return np.array(
-            [self._log_float(k) for k in range(start, start + count)],
-            dtype=np.float64,
-        )
+    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
+        """The one float read: logs of terms ``starts[i] + j`` for
+        ``j < count``, as a ``(len(starts), count)`` array."""
+        raise NotImplementedError
 
     def log_exact_block(self, start: int, count: int) -> Optional[list[Exact]]:
         """Exact logs for a block, or None without an exact form."""
@@ -435,12 +443,9 @@ class ExpressionSeq(GSeq):
     def __repr__(self) -> str:
         return f"ExpressionSeq({self.source!r})"
 
-    def _log_float(self, k: int) -> float:
-        return exprdsl.eval_at(self.ast, k).log_value
-
-    def _block(self, start: int, count: int) -> np.ndarray:
-        ks = np.arange(start, start + count, dtype=np.int64)
-        return exprdsl.eval_log_array(self.ast, ks)
+    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
+        ks = starts[:, None] + np.arange(count)
+        return exprdsl.eval_log_array(self.ast, ks.ravel()).reshape(ks.shape)
 
 
 class BufferSeq(GSeq):
@@ -461,11 +466,8 @@ class BufferSeq(GSeq):
     def length(self) -> Optional[int]:
         return len(self._logs)
 
-    def _log_float(self, k: int) -> float:
-        return float(self._logs[k - 1])
-
-    def _block(self, start: int, count: int) -> np.ndarray:
-        return self._logs[start - 1 : start - 1 + count].copy()
+    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
+        return sliding_window_view(self._logs, count)[starts - 1]
 
 
 class ConstantSeq(GSeq):
@@ -479,8 +481,8 @@ class ConstantSeq(GSeq):
     def __repr__(self) -> str:
         return f"ConstantSeq(e^{self._log:g})"
 
-    def _block(self, start: int, count: int) -> np.ndarray:
-        return np.full(count, self._log, dtype=np.float64)
+    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
+        return np.full((len(starts), count), self._log)
 
 
 class SparseLogSeq(GSeq):
@@ -496,14 +498,11 @@ class SparseLogSeq(GSeq):
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._entries))
 
-    def _log_float(self, k: int) -> float:
-        return self._entries.get(k, 0.0)
-
-    def _block(self, start: int, count: int) -> np.ndarray:
-        out = np.zeros(count, dtype=np.float64)
+    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
+        out = np.zeros((len(starts), count))
         for k, v in self._entries.items():
-            if start <= k < start + count:
-                out[k - start] = v
+            rows = np.flatnonzero((starts <= k) & (k < starts + count))
+            out[rows, k - starts[rows]] = v
         return out
 
 
@@ -520,34 +519,20 @@ class _BinaryView(GSeq):
 
     @property
     def length(self) -> Optional[int]:
-        la, lb = self.a.length, self.b.length
-        if la is None:
-            return lb
-        if lb is None:
-            return la
-        return min(la, lb)
+        return min((n for n in (self.a.length, self.b.length) if n is not None), default=None)
+
+    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
+        return self._op(self.a._windows(starts, count), self.b._windows(starts, count))
 
 
 class OplusView(_BinaryView):
     """Termwise geometric sum: logs add."""
-
-    def _log_float(self, k: int) -> float:
-        return self.a.log_at(k) + self.b.log_at(k)
-
-    def _block(self, start: int, count: int) -> np.ndarray:
-        return self.a.log_values(start, count) + self.b.log_values(start, count)
 
 
 class OdotView(_BinaryView):
     """Termwise geometric product: logs multiply."""
 
     _op = operator.mul
-
-    def _log_float(self, k: int) -> float:
-        return self.a.log_at(k) * self.b.log_at(k)
-
-    def _block(self, start: int, count: int) -> np.ndarray:
-        return self.a.log_values(start, count) * self.b.log_values(start, count)
 
 
 def seq_from_expr(src: str | ExprAst) -> ExpressionSeq:
@@ -622,11 +607,9 @@ def _limit_probe_detail(
     """Shared core of the limit probe; also reports a divergence witness."""
     check_window(N, tol)
     ks1 = _probe_ks(N // 2, N)
-    ks2 = _probe_ks(N, 2 * N)
-    logs1 = np.array([x.log_at(int(k)) for k in ks1])
-    logs2 = np.array([x.log_at(int(k)) for k in ks2])
-    all_ks = np.concatenate([ks1, ks2])
-    all_logs = np.concatenate([logs1, logs2])
+    all_ks = np.concatenate([ks1, _probe_ks(N, 2 * N)])
+    all_logs = x.log_points(all_ks)
+    logs1, logs2 = all_logs[: len(ks1)], all_logs[len(ks1) :]
 
     i_max = int(np.argmax(np.abs(all_logs)))
     if abs(all_logs[i_max]) > LOG_MAGNITUDE_LIMIT:

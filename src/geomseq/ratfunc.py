@@ -2,8 +2,8 @@
 integer polynomial factors, never reduced, so poles stay where per-term
 Fraction arithmetic (:func:`geomseq.exprdsl.eval_exact`) puts them.  Sums
 take the lcm of the factor lists.  Values are one correctly rounded division
-of Python ints, equal to ``float(Fraction(n, d))``; blocks use int64 Horner
-when every partial sum stays within 2^53 (no overflow, exact conversion,
+of Python ints, equal to ``float(Fraction(n, d))``; index arrays use int64
+Horner when every partial sum stays within 2^53 (no overflow, exact conversion,
 correctly rounded IEEE division) and Python ints otherwise.
 """
 
@@ -142,24 +142,26 @@ class RatFunc:
         except OverflowError:
             raise DomainError(f"exact log beyond float64 at k={k}")
 
-    def block(self, start: int, count: int) -> np.ndarray:
-        """Values at start .. start+count-1, each equal to :meth:`at`."""
-        k_max = start + count - 1
+    def values(self, ks: np.ndarray) -> np.ndarray:
+        """:meth:`at` over an int64 index array of any shape."""
+        k_max = int(ks.max(initial=1))  # indices start at 1
         small = all(
             sum(abs(c) * k_max**i for i, c in enumerate(p)) <= 1 << 53
             for p in (self.num, self.den_poly)
         )
-        ks = np.arange(start, start + count, dtype=np.int64)
         ks = ks if small else ks.astype(object)  # Python ints past 2^53
-        n, d = (_horner(p, ks) + np.zeros(count, ks.dtype) for p in (self.num, self.den_poly))
+        n, d = (_horner(p, ks) + np.zeros(ks.shape, ks.dtype) for p in (self.num, self.den_poly))
         if not d.all():
-            raise DomainError(f"division by zero at k={int(ks[np.argmin(d != 0)])}")
+            raise DomainError(f"division by zero at k={int(ks.flat[np.argmin(d != 0)])}")
         n, d = np.where(d < 0, -n, n), np.abs(d)
         if small:
             return n.astype(np.float64) / d.astype(np.float64)
         try:
             return (n / d).astype(np.float64)
         except OverflowError:
-            for k in range(start, start + count):
+            for k in ks.flat:
                 self.at(k)  # raises at the first quotient past float64
             raise
+
+    def block(self, start: int, count: int) -> np.ndarray:
+        return self.values(np.arange(start, start + count, dtype=np.int64))

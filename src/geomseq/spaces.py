@@ -179,9 +179,10 @@ def lemma_equivalence_check(
     ks = np.arange(1, 2 * N + 1, dtype=np.float64)
     head = logs[:-1]
     tail = logs[1:]
-    a_vals = np.abs(head - tail)
-    b_i_vals = np.abs(head) / ks
-    b_ii_vals = np.abs(head - (ks / (ks + 1.0)) * tail)
+    with np.errstate(over="ignore"):  # a difference past float64 is unbounded
+        a_vals = np.abs(head - tail)
+        b_i_vals = np.abs(head) / ks
+        b_ii_vals = np.abs(head - (ks / (ks + 1.0)) * tail)
     verdicts = [
         monotone_verdict(*window_statistic(np.max, vals, N), N, tol)
         for vals in (a_vals, b_i_vals, b_ii_vals)

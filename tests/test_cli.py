@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from geomseq import classify, dual_test, seq_from_expr
-from geomseq.cli import dual_report_from_envelope, membership_report_from_envelope
+from geomseq.cli import dual_report_from_envelope, main, membership_report_from_envelope
 
 
 def run_cli(*args):
@@ -318,3 +318,69 @@ class TestRobustness:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 1
         assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def _strict_json(text: str):
+    """Parse output as JSON that may hold +-Infinity but never NaN."""
+
+    def constant(name):
+        assert name != "NaN", "NaN is not a number a report may carry"
+        return float(name)
+
+    return json.loads(text, parse_constant=constant)
+
+
+class TestStrictOutput:
+    """Logs at the edge of float64: stdout stays strict JSON, stderr empty."""
+
+    @pytest.fixture(params=["alternating", "flat"])
+    def extreme(self, request, tmp_path):
+        sign = (lambda k: (-1) ** k) if request.param == "alternating" else (lambda k: 1)
+        path = tmp_path / f"{request.param}.txt"
+        path.write_text("".join(f"{sign(k) * 1e308!r}\n" for k in range(20_000)))
+        return str(path)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dual", "--kind", "alpha", "--N", "10000"],
+            ["dual", "--kind", "beta", "--N", "10000"],
+            ["dual", "--kind", "gamma", "--N", "10000"],
+            ["lemma", "--N", "9000"],
+            ["classify", "--space", "linf", "--m", "1", "--N", "9000"],
+            ["classify", "--space", "linf", "--m", "3", "--N", "9000"],
+            ["classify", "--space", "c0", "--m", "3", "--N", "9000"],
+            ["diff", "--m", "3", "--range", "1..6"],
+            ["norm", "--m", "2", "--N", "9000"],
+        ],
+        ids=lambda argv: " ".join(argv[:3]) + " " + " ".join(argv[3:5]),
+    )
+    def test_extreme_logs(self, extreme, argv, capsys):
+        code = main([*argv, "--seq", extreme, "--logs"])
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert code in (0, 2), out
+        _strict_json(out)
+
+    def test_first_order_overflow_diverges(self, extreme, capsys):
+        for kind in ("beta", "gamma"):
+            assert main(["dual", "--kind", kind, "--N", "10000", "--seq", extreme, "--logs"]) == 0
+            env = _strict_json(capsys.readouterr().out)
+            assert env["verdict"]["kind"] == "diverged"
+            assert math.isinf(env["partial_log"])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weight_past_float64_on_a_zero_log(self, capsys):
+        # 200000^60 overflows; times the zero log of the term it still adds nothing
+        assert main(["dual", "--kind", "alpha", "--m", "60", "--seq", "1", "--N", "100000"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert _strict_json(out)["verdict"]["kind"] == "finite"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_differences_of_a_flat_edge_cancel(self, tmp_path, capsys):
+        path = tmp_path / "flat.txt"
+        path.write_text("1e308\n" * 100)
+        assert main(["diff", "--m", "3", "--range", "1..6", "--seq", str(path), "--logs"]) == 0
+        assert [row["log_value"] for row in _strict_json(capsys.readouterr().out)["rows"]] == [0.0] * 6

@@ -358,6 +358,15 @@ class TestExactPrefixSums:
         else:
             assert [v.hex() for v in exact_prefix_sums(vals, ends)] == expected
 
+    def test_inf_past_the_last_end_is_handed_to_fsum(self):
+        # the chunks read end at 2; the inf after them still sends the input to fsum
+        vals = np.full(SUM_CHUNK, 2.0**1023)
+        vals[2] = math.inf
+        with pytest.raises(OverflowError):
+            math.fsum(vals[:2])
+        with pytest.raises(OverflowError):
+            exact_prefix_sums(vals, [2])
+
     def test_overflow_is_infinite(self):
         big = sys.float_info.max
         assert exact_prefix_sums(np.full(3, 1e308), [1, 3]) == [1e308, math.inf]

@@ -4,7 +4,8 @@
 
 Each line is a record name and the sha256 of what that record produced:
 ``json.dumps(report.to_dict(), sort_keys=True)`` for a library report, or a
-CLI command's / demo's stdout, stderr and exit code.  To check that a change
+CLI command's / demo's stdout, stderr and exit code; a point-read record
+holds the ``log_at`` of each of its indices (or the error it raised).  To check that a change
 leaves every output byte-identical, run the script in a checkout of the
 parent commit as well (copy it there if it is new) and ``diff`` the two
 files.  The package is imported from the ``src/`` next to this script.
@@ -22,7 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-from geomseq import catalog, duals, gseq, spaces  # noqa: E402
+import numpy as np  # noqa: E402
+
+from geomseq import catalog, duals, gdiff, gseq, spaces  # noqa: E402
 
 N = 100_000
 
@@ -50,7 +53,13 @@ CLI_COMMANDS = [
     ["dual", "--kind", "alpha", "--m", "1", "--seq", "values.txt", "--N", "1000"],
     ["dual", "--kind", "beta", "--seq", "logs.txt", "--logs", "--N", "1000"],
     ["classify", "--seq", "logs.txt", "--logs", "--space", "linf", "--m", "1", "--N", "1000"],
+    # float row reads
+    ["eval", "--seq", "exp(ln(k)/k)", "--range", "1..3000"],
+    ["diff", "--seq", "exp(ln(k))", "--m", "3", "--range", "1..3000"],
 ]
+
+#: Indices of the point-read records, by label.
+POINT_KS = {"1..300": range(1, 301), "1000": [1000], "5000": [5000], "77777": [77_777]}
 
 
 def digest(data: bytes) -> str:
@@ -107,6 +116,31 @@ def library_records():
         )
 
 
+def _points(seq, ks) -> list:
+    out = []
+    for k in ks:
+        try:
+            out.append(seq.log_at(k))
+        except Exception as exc:
+            out.append({"error": type(exc).__name__, "message": str(exc)})
+    return out
+
+
+def point_records():
+    """``log_at`` of float views, read one index at a time."""
+    bases = {src: gseq.seq_from_expr(src) for src in
+             ("exp(ln(k))", "exp(ln(k)/k)", "exp(2^(0-k))", "exp(k^k)")}
+    bases["buffer"] = gseq.seq_from_logs(np.random.default_rng(20261018).normal(0.0, 5.0, 80_000))
+    for name, x in bases.items():
+        for m in range(4):
+            view = gdiff.delta_binomial(x, m)
+            for label, ks in POINT_KS.items():
+                yield report_line(f"log_at[{name}|{m}|{label}]", lambda: _points(view, ks))
+    mixed = gseq.seq_oplus(gseq.seq_from_expr("exp(1/k)"), gseq.seq_from_expr("exp(ln(k)/k)"))
+    for label, ks in POINT_KS.items():
+        yield report_line(f"log_at[exp(1/k)+exp(ln(k)/k)|{label}]", lambda: _points(mixed, ks))
+
+
 def process_line(name: str, argv: list, cwd: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
@@ -129,6 +163,8 @@ def process_records():
 
 def main() -> None:
     for line in library_records():
+        print(line, flush=True)
+    for line in point_records():
         print(line, flush=True)
     for line in process_records():
         print(line, flush=True)
