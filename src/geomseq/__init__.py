@@ -15,160 +15,22 @@ Quick tour::
     2.0
 """
 
-from .errors import (
-    DomainError,
-    GeometricError,
-    GeometricZeroDivisor,
-    IndexOutOfRange,
-    NonPositiveValue,
-    NoSubsequenceFound,
-    ParseError,
-    UnsupportedOrder,
-)
-from .garith import (
-    GNum,
-    GUNIT,
-    GZERO,
-    gabs,
-    gadd,
-    gdiv,
-    ginv,
-    gmul,
-    gpow,
-    gsub,
-    is_gzero,
-    natural,
-)
-from .exprdsl import ExprAst, eval_at, eval_log, eval_value, parse, to_source
-from .gseq import (
-    DEFAULT_TOL,
-    DEFAULT_WINDOW,
-    BufferSeq,
-    ConstantSeq,
-    ExpressionSeq,
-    GSeq,
-    SparseLogSeq,
-    Verdict,
-    VerdictKind,
-    g_limit_probe,
-    gsum_partial,
-    remainder,
-    seq_constant,
-    seq_from_expr,
-    seq_from_logs,
-    seq_from_values,
-    seq_odot,
-    seq_oplus,
-    seq_scale,
-    sup_gabs,
-    term,
-)
-from .gdiff import (
-    MAX_ORDER,
-    binomial_row,
-    d_operator,
-    delta_binomial,
-    delta_norm,
-    delta_recursive,
-)
-from .spaces import (
-    SPACES,
-    AlgebraCounterexampleReport,
-    InclusionDemoReport,
-    LemmaEquivalenceReport,
-    MembershipReport,
-    algebra_counterexample,
-    classify,
-    inclusion_demo,
-    lemma_equivalence_check,
-    weighted_sup,
-)
-from .duals import (
-    DUAL_KINDS,
-    DualReport,
-    alpha_alpha_dual_test,
-    alpha_dual_test,
-    beta_dual_test,
-    counterexample_sequence,
-    dual_test,
-    gamma_dual_test,
-)
-from .catalog import Annotation, CatalogEntry, catalog_entries
+# Each module's __all__ is its one list of public names; the package
+# re-exports every one of them.
+from .errors import *  # noqa: F403
+from .garith import *  # noqa: F403
+from .exprdsl import *  # noqa: F403
+from .gseq import *  # noqa: F403
+from .gdiff import *  # noqa: F403
+from .spaces import *  # noqa: F403
+from .duals import *  # noqa: F403
+from .catalog import *  # noqa: F403
+from . import catalog, duals, errors, exprdsl, garith, gdiff, gseq, spaces
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraCounterexampleReport",
-    "Annotation",
-    "BufferSeq",
-    "CatalogEntry",
-    "ConstantSeq",
-    "DEFAULT_TOL",
-    "DEFAULT_WINDOW",
-    "DUAL_KINDS",
-    "DomainError",
-    "DualReport",
-    "ExprAst",
-    "ExpressionSeq",
-    "GNum",
-    "GSeq",
-    "GUNIT",
-    "GZERO",
-    "GeometricError",
-    "GeometricZeroDivisor",
-    "InclusionDemoReport",
-    "IndexOutOfRange",
-    "LemmaEquivalenceReport",
-    "MAX_ORDER",
-    "MembershipReport",
-    "NoSubsequenceFound",
-    "NonPositiveValue",
-    "ParseError",
-    "SPACES",
-    "SparseLogSeq",
-    "UnsupportedOrder",
-    "Verdict",
-    "VerdictKind",
-    "algebra_counterexample",
-    "alpha_alpha_dual_test",
-    "alpha_dual_test",
-    "beta_dual_test",
-    "binomial_row",
-    "catalog_entries",
-    "classify",
-    "counterexample_sequence",
-    "d_operator",
-    "delta_binomial",
-    "delta_norm",
-    "delta_recursive",
-    "dual_test",
-    "eval_at",
-    "eval_log",
-    "eval_value",
-    "g_limit_probe",
-    "gabs",
-    "gadd",
-    "gdiv",
-    "ginv",
-    "gmul",
-    "gpow",
-    "gsub",
-    "gsum_partial",
-    "inclusion_demo",
-    "is_gzero",
-    "lemma_equivalence_check",
-    "natural",
-    "parse",
-    "remainder",
-    "seq_constant",
-    "seq_from_expr",
-    "seq_from_logs",
-    "seq_from_values",
-    "seq_odot",
-    "seq_oplus",
-    "seq_scale",
-    "sup_gabs",
-    "term",
-    "to_source",
-    "weighted_sup",
+    name
+    for module in (errors, garith, exprdsl, gseq, gdiff, spaces, duals, catalog)
+    for name in module.__all__
 ]

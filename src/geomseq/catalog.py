@@ -22,7 +22,7 @@ import numpy as np
 
 from .gseq import BufferSeq, ExpressionSeq, GSeq
 
-__all__ = ["BASES", "Annotation", "CatalogEntry", "catalog_entries"]
+__all__ = ["Annotation", "CatalogEntry", "catalog_entries"]
 
 BASES = ("immediate", "analytic", "oracle")
 

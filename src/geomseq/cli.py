@@ -189,14 +189,14 @@ def _build_parser() -> _ArgumentParser:
 _DIAGNOSTICS = ("probe_N", "probe_2N", "note")
 
 
-def _verdict_envelope(command: str, name: str, report, args) -> dict:
+def _verdict_envelope(name: str, report, args) -> dict:
     """The classify/dual envelope of a report: the verdict split into its
     decision and its diagnostics, the report's ``name`` and m under inputs."""
     d = report.to_dict()
     verdict = d.pop("verdict")
     diagnostics = {key: verdict.pop(key) for key in _DIAGNOSTICS}
     env = {
-        "command": command,
+        "command": args.command,
         "inputs": {
             "seq": args.seq,
             name: d.pop(name),
@@ -235,10 +235,13 @@ def dual_report_from_envelope(env: dict) -> DualReport:
     return _report_from_envelope(DualReport, "kind", env)
 
 
-def _rows_envelope(command: str, inputs: dict, seq: GSeq, lo: int, hi: int) -> dict:
+def _rows_envelope(args, seq: GSeq, **inputs) -> dict:
+    """The eval/diff envelope: the logs of ``seq`` over ``args.range``."""
+    lo, hi = args.range
     logs = seq.log_points(np.arange(lo, hi + 1)).tolist()
     rows = [{"k": k, "log_value": v, "rendering": GNum(v).render()} for k, v in enumerate(logs, lo)]
-    return {"command": command, "inputs": inputs, "rows": rows}
+    inputs = {"seq": args.seq, **inputs, "range": f"{lo}..{hi}"}
+    return {"command": args.command, "inputs": inputs, "rows": rows}
 
 
 def _csv_value(v) -> str:
@@ -284,27 +287,32 @@ def _exit_for(*verdict_kinds: str) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    fmt = args.format
+    if args.command == "demo":
+        demo = inclusion_demo if args.which == "inclusion" else algebra_counterexample
+        report = demo(args.m, args.N, args.tol)
+        body = report.to_dict()
+        env = {
+            "command": "demo",
+            "inputs": {"which": args.which, "m": args.m, "N": args.N, "tol": args.tol},
+            "holds": report.holds,
+            "report": body,
+        }
+        # the nested objects of a demo report are its membership reports
+        kinds = [sub["verdict"]["kind"] for sub in body.values() if isinstance(sub, dict)]
+        code = _exit_for(*kinds)
+    else:
+        env, code = _sequence_command(args, load_sequence(args.seq, args.logs))
+    _emit(env, args.format)
+    return code
 
+
+def _sequence_command(args: argparse.Namespace, seq: GSeq) -> tuple[dict, int]:
+    """The envelope and exit code of a command that reads a sequence."""
     if args.command == "eval":
-        seq = load_sequence(args.seq, args.logs)
-        lo, hi = args.range
-        env = _rows_envelope("eval", {"seq": args.seq, "range": f"{lo}..{hi}"}, seq, lo, hi)
-        _emit(env, fmt)
-        return EXIT_OK
-
+        return _rows_envelope(args, seq), EXIT_OK
     if args.command == "diff":
-        seq = load_sequence(args.seq, args.logs)
-        lo, hi = args.range
-        view = delta_binomial(seq, args.m)
-        env = _rows_envelope(
-            "diff", {"seq": args.seq, "m": args.m, "range": f"{lo}..{hi}"}, view, lo, hi
-        )
-        _emit(env, fmt)
-        return EXIT_OK
-
+        return _rows_envelope(args, delta_binomial(seq, args.m), m=args.m), EXIT_OK
     if args.command == "norm":
-        seq = load_sequence(args.seq, args.logs)
         g = delta_norm(seq, args.m, args.N)
         env = {
             "command": "norm",
@@ -312,26 +320,8 @@ def _run(args: argparse.Namespace) -> int:
             "log_value": g.log_value,
             "rendering": g.render(),
         }
-        _emit(env, fmt)
-        return EXIT_OK
-
-    if args.command == "classify":
-        seq = load_sequence(args.seq, args.logs)
-        report = classify(seq, args.space, args.m, args.N, args.tol)
-        env = _verdict_envelope("classify", "space", report, args)
-        _emit(env, fmt)
-        return _exit_for(report.verdict.kind.value)
-
-    if args.command == "dual":
-        seq = load_sequence(args.seq, args.logs)
-        kind = args.kind.replace("-", "_")
-        report = dual_test(seq, kind, args.m, args.N, args.tol)
-        env = _verdict_envelope("dual", "kind", report, args)
-        _emit(env, fmt)
-        return _exit_for(report.verdict.kind.value)
-
+        return env, EXIT_OK
     if args.command == "lemma":
-        seq = load_sequence(args.seq, args.logs)
         report = lemma_equivalence_check(seq, args.N, args.tol)
         env = {
             "command": "lemma",
@@ -343,25 +333,12 @@ def _run(args: argparse.Namespace) -> int:
             "cond_b_ii": report.cond_b_ii.to_dict(),
             "window": report.window,
         }
-        _emit(env, fmt)
-        return EXIT_INCONCLUSIVE if report.has_inconclusive else EXIT_OK
-
-    if args.command == "demo":
-        demo = inclusion_demo if args.which == "inclusion" else algebra_counterexample
-        report = demo(args.m, args.N, args.tol)
-        body = report.to_dict()
-        env = {
-            "command": "demo",
-            "inputs": {"which": args.which, "m": args.m, "N": args.N, "tol": args.tol},
-            "holds": report.holds,
-            "report": body,
-        }
-        _emit(env, fmt)
-        # the nested objects of a demo report are its membership reports
-        kinds = [sub["verdict"]["kind"] for sub in body.values() if isinstance(sub, dict)]
-        return _exit_for(*kinds)
-
-    raise AssertionError(f"unhandled command {args.command!r}")
+        return env, EXIT_INCONCLUSIVE if report.has_inconclusive else EXIT_OK
+    if args.command == "classify":
+        name, report = "space", classify(seq, args.space, args.m, args.N, args.tol)
+    else:
+        name, report = "kind", dual_test(seq, args.kind.replace("-", "_"), args.m, args.N, args.tol)
+    return _verdict_envelope(name, report, args), _exit_for(report.verdict.kind.value)
 
 
 def _error_payload(exc: BaseException) -> dict:

@@ -46,12 +46,8 @@ __all__ = [
     "parse",
     "to_source",
     "eval_value",
-    "eval_value_array",
     "eval_at",
     "eval_log",
-    "eval_log_array",
-    "eval_log_exact",
-    "lower_log",
 ]
 
 # The per-term oracle declines (returns None) once integers grow past this.

@@ -26,7 +26,6 @@ __all__ = [
     "GNum",
     "GZERO",
     "GUNIT",
-    "ZERO_LOG_TOL",
     "gadd",
     "gsub",
     "gmul",

@@ -35,7 +35,6 @@ __all__ = [
     "delta_binomial",
     "d_operator",
     "delta_norm",
-    "check_order",
 ]
 
 #: Largest supported difference order for the binomial table.

@@ -52,7 +52,6 @@ from .ratfunc import Exact, NotExact, RatFunc
 
 __all__ = [
     "GSeq",
-    "ExactForm",
     "ExpressionSeq",
     "BufferSeq",
     "ConstantSeq",
@@ -71,12 +70,8 @@ __all__ = [
     "sup_gabs",
     "g_limit_probe",
     "remainder",
-    "check_window",
-    "window_statistic",
-    "exact_prefix_sums",
     "DEFAULT_WINDOW",
     "DEFAULT_TOL",
-    "LOG_MAGNITUDE_LIMIT",
 ]
 
 #: Default probe window N for every verdict-producing operation.
@@ -246,21 +241,29 @@ def exact_prefix_sums(vals: np.ndarray, ends: Iterable[int]) -> list[float]:
     """The correctly rounded sums of ``vals[:e]`` for nondecreasing ends e.
 
     One pass in chunks of :data:`SUM_CHUNK`, carrying the exact running sum
-    as one Python int; equal bit for bit to ``math.fsum(vals[:e])``, except
-    that a sum past float64 is +-inf rather than an ``OverflowError``.  An
-    input holding inf or nan is handed to ``math.fsum`` whole.
+    of the finite terms as one Python int; terms past the last end are not
+    read.  A finite prefix sums bit for bit to ``math.fsum(vals[:e])``,
+    except that a sum past float64 is +-inf rather than an
+    ``OverflowError``.  A prefix holding inf or nan sums to ``math.fsum`` of
+    its non-finite terms, each distinct one kept once: +-inf, nan, or a
+    ``ValueError`` for +inf together with -inf, as ``math.fsum`` gives.
     """
     ends = [min(int(e), len(vals)) for e in ends]
-    if not np.isfinite(vals[max(ends, default=0) :]).all():  # never chunked below
-        return [math.fsum(vals[:e]) for e in ends]
     sums, total, start = [], 0, 0
+    special = np.empty(0)  # the distinct inf and nan terms read so far
     for end in ends:
         while start < end:
-            chunk = vals[start : min(start + SUM_CHUNK, end)]
-            if not np.isfinite(chunk).all():
-                return [math.fsum(vals[:e]) for e in ends]
+            stop = min(start + SUM_CHUNK, end)
+            chunk = vals[start:stop]
+            finite = np.isfinite(chunk)
+            if not finite.all():
+                special = np.unique(np.concatenate([special, chunk[~finite]]))
+                chunk = chunk[finite]
             total += _chunk_total(chunk)
-            start += len(chunk)
+            start = stop
+        if len(special):
+            sums.append(math.fsum(special))
+            continue
         try:
             sums.append(total / _SUM_UNIT)  # int / int rounds correctly
         except OverflowError:

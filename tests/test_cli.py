@@ -1,14 +1,19 @@
 """End-to-end command-line checks through a real subprocess: output
 envelopes, exit codes, file input, and the lossless report round-trip."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from geomseq import classify, dual_test, seq_from_expr
+from geomseq import GeometricError, classify, dual_test, seq_from_expr
 from geomseq.cli import dual_report_from_envelope, main, membership_report_from_envelope
 
 
@@ -333,9 +338,17 @@ def _strict_json(text: str):
 class TestStrictOutput:
     """Logs at the edge of float64: stdout stays strict JSON, stderr empty."""
 
-    @pytest.fixture(params=["alternating", "flat"])
+    #: The sign of line k of each file of +-1e308 logs; "overflowing" repeats
+    #: 1e308, 1e308, -1e308, so its sums pass float64 before they come back.
+    SIGNS = {
+        "alternating": lambda k: (-1) ** k,
+        "flat": lambda k: 1,
+        "overflowing": lambda k: -1 if k % 3 == 2 else 1,
+    }
+
+    @pytest.fixture(params=sorted(SIGNS))
     def extreme(self, request, tmp_path):
-        sign = (lambda k: (-1) ** k) if request.param == "alternating" else (lambda k: 1)
+        sign = self.SIGNS[request.param]
         path = tmp_path / f"{request.param}.txt"
         path.write_text("".join(f"{sign(k) * 1e308!r}\n" for k in range(20_000)))
         return str(path)
@@ -371,6 +384,18 @@ class TestStrictOutput:
             assert math.isinf(env["partial_log"])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_weighted_sum_past_float64_diverges(self, capsys):
+        # k^2 * 1e300 k is inf from k = 565, and the finite terms before it
+        # already sum past float64: the sum is +inf, not an OverflowError
+        argv = ["dual", "--kind", "alpha", "--m", "2", "--seq", "exp(1e300*k)", "--N", "900"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        env = _strict_json(out)
+        assert env["verdict"]["kind"] == "diverged"
+        assert env["diagnostics"]["probe_N"] == env["diagnostics"]["probe_2N"] == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_weight_past_float64_on_a_zero_log(self, capsys):
         # 200000^60 overflows; times the zero log of the term it still adds nothing
         assert main(["dual", "--kind", "alpha", "--m", "60", "--seq", "1", "--N", "100000"]) == 0
@@ -384,3 +409,84 @@ class TestStrictOutput:
         path.write_text("1e308\n" * 100)
         assert main(["diff", "--m", "3", "--range", "1..6", "--seq", str(path), "--logs"]) == 0
         assert [row["log_value"] for row in _strict_json(capsys.readouterr().out)["rows"]] == [0.0] * 6
+
+
+def _error_names(cls) -> set:
+    return {cls.__name__}.union(*(_error_names(sub) for sub in cls.__subclasses__()))
+
+
+def _grow(inner):
+    """One grammar step over smaller expressions: arithmetic, ``ln``, inner
+    ``exp``, non-integer and k-th powers, and sums of exponentials."""
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        inner.map(lambda a: f"exp({a})"),
+        inner.map(lambda a: f"ln({a})"),
+        st.tuples(inner, st.sampled_from(["0.5", "1.5", "(0-2.5)", "(1/3)", "2", "k"])).map(
+            lambda t: f"({t[0]})^{t[1]}"
+        ),
+        st.sampled_from(["2", "0.5", "e", "1e300"]).map(lambda b: f"{b}^k"),
+        st.tuples(inner, st.sampled_from("+-"), inner).map(
+            lambda t: f"exp({t[0]}){t[1]}exp({t[2]})"
+        ),
+    )
+
+
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["k", "e", "0", "1", "2", "0.5", "3.25", "710", "1e300", "1e-300"]),
+    _grow,
+    max_leaves=8,
+)
+
+#: A --logs file repeats one of these patterns of extreme logs.
+_LOG_PATTERNS = st.lists(
+    st.sampled_from([1e308, -1e308, 1e300, 710.0, 1.0, -1.0, 1e-308, -5e-324, 0.0]),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _commands():
+    N, m = st.sampled_from(["4", "8", "30"]), st.integers(0, 3).map(str)
+    return st.one_of(
+        st.just(["eval", "--range", "1..6"]),
+        m.map(lambda m: ["diff", "--m", m, "--range", "1..6"]),
+        st.tuples(m, N).map(lambda t: ["norm", "--m", t[0], "--N", t[1]]),
+        st.tuples(st.sampled_from(["linf", "c", "c0"]), m, N).map(
+            lambda t: ["classify", "--space", t[0], "--m", t[1], "--N", t[2]]
+        ),
+        st.tuples(st.sampled_from(["alpha", "alpha-alpha", "beta", "gamma"]), m, N).map(
+            lambda t: ["dual", "--kind", t[0], "--m", t[1], "--N", t[2]]
+        ),
+    )
+
+
+class TestFullGrammar:
+    """Any expression the grammar accepts, or any file of extreme logs, ends
+    in strict JSON on stdout, nothing on stderr, exit 0, 1 or 2, and on
+    exit 1 an error of this package's own hierarchy."""
+
+    ERRORS = _error_names(GeometricError)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(_commands(), _EXPRESSIONS | _LOG_PATTERNS)
+    @example(["dual", "--kind", "alpha", "--m", "2", "--N", "900"], "exp(1e300*k)")
+    @example(["dual", "--kind", "beta", "--m", "1", "--N", "30"], [1e308, 1e308, -1e308])
+    @example(["dual", "--kind", "gamma", "--m", "1", "--N", "30"], [1e308, 1e308, -1e308])
+    def test_every_input_ends_in_strict_output(self, argv, seq):
+        with tempfile.TemporaryDirectory() as tmp:
+            if isinstance(seq, list):
+                path = Path(tmp) / "logs.txt"
+                path.write_text("".join(f"{v!r}\n" for v in seq * 30))
+                argv = [*argv, "--seq", str(path), "--logs"]
+            else:
+                argv = [*argv, "--seq", seq]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert err.getvalue() == "", argv
+        env = _strict_json(out.getvalue())
+        if code == 1:
+            assert env["error"]["type"] in self.ERRORS, (argv, env)

@@ -5,7 +5,8 @@
 Each line is a record name and the sha256 of what that record produced:
 ``json.dumps(report.to_dict(), sort_keys=True)`` for a library report, or a
 CLI command's / demo's stdout, stderr and exit code; a point-read record
-holds the ``log_at`` of each of its indices (or the error it raised).  To check that a change
+holds the ``log_at`` of each of its indices (or the error it raised), and
+the ``namespace`` record the sorted ``geomseq.__all__``.  To check that a change
 leaves every output byte-identical, run the script in a checkout of the
 parent commit as well (copy it there if it is new) and ``diff`` the two
 files.  The package is imported from the ``src/`` next to this script.
@@ -25,6 +26,7 @@ sys.path.insert(0, str(SRC))
 
 import numpy as np  # noqa: E402
 
+import geomseq  # noqa: E402
 from geomseq import catalog, duals, gdiff, gseq, spaces  # noqa: E402
 
 N = 100_000
@@ -56,6 +58,10 @@ CLI_COMMANDS = [
     # float row reads
     ["eval", "--seq", "exp(ln(k)/k)", "--range", "1..3000"],
     ["diff", "--seq", "exp(ln(k))", "--m", "3", "--range", "1..3000"],
+    # window sums that pass float64 with infinite terms among them
+    ["dual", "--kind", "alpha", "--m", "2", "--seq", "exp(1e300*k)", "--N", "900"],
+    ["dual", "--kind", "beta", "--seq", "overflow.txt", "--logs", "--N", "900"],
+    ["dual", "--kind", "gamma", "--seq", "overflow.txt", "--logs", "--N", "900"],
 ]
 
 #: Indices of the point-read records, by label.
@@ -154,6 +160,7 @@ def process_records():
         ks = range(1, 2001)
         (cwd / "values.txt").write_text("".join(f"{1 + 1 / k**2!r}\n" for k in ks))
         (cwd / "logs.txt").write_text("".join(f"{(-1) ** k / k!r}\n" for k in ks))
+        (cwd / "overflow.txt").write_text("1e308\n1e308\n-1e308\n" * 700)
         for argv in CLI_COMMANDS:
             name = "cli[" + " ".join(argv) + "]"
             yield process_line(name, [sys.executable, "-m", "geomseq", *argv], cwd)
@@ -162,6 +169,7 @@ def process_records():
 
 
 def main() -> None:
+    print(report_line("namespace", lambda: sorted(geomseq.__all__)), flush=True)
     for line in library_records():
         print(line, flush=True)
     for line in point_records():
