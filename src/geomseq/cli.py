@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .duals import DualReport, dual_test
-from .errors import GeometricError, ParseError
+from .errors import DomainError, GeometricError, ParseError
 from .garith import GNum
 from .gdiff import delta_binomial, delta_norm
 from .gseq import (
@@ -122,9 +122,7 @@ def load_sequence(spec: str, logs: bool = False) -> GSeq:
             try:
                 values.append(float(stripped))
             except ValueError:
-                raise ValueError(
-                    f"{spec}:{lineno}: not a number: {stripped!r}"
-                ) from None
+                raise DomainError(f"{spec}:{lineno}: not a number: {stripped!r}") from None
         arr = np.asarray(values, dtype=np.float64)
         if logs:
             return seq_from_logs(arr)

@@ -15,6 +15,11 @@ is evaluated through its exponent: the log of the term is f(k) computed
 directly, so e^(k^4) never exists as a float value.  Inner ``exp`` nodes
 evaluate numerically and may overflow to a :class:`DomainError`.
 
+One ASCII-only regular expression scans the source; any character it
+does not take as whitespace, a number, a name or an operator is an error at
+its offset.  One table, ``_ARITH``, says what each ``+ - * / ^`` node
+computes, for every evaluator and the lowering alike.
+
 Three evaluators and one lowering share the AST:
 
 * :func:`eval_value` / :func:`eval_value_array` work in the value domain;
@@ -54,6 +59,16 @@ __all__ = [
 # 2^600 is far beyond anything a difference of catalog exponents produces
 # while still catching 2^(-k) style blowups.
 _EXACT_LIMIT = 1 << 600
+
+#: What each binary node computes, in every evaluator and the lowering; the
+#: exact ones take ``pow`` only with integer exponents, by rules of their own.
+_ARITH = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": operator.truediv,
+    "pow": operator.pow,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +114,14 @@ def _const_node(text: str, offset: int) -> ExprAst:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z]+")
-_WS = " \t\r\n"
-_SINGLE = {
-    "+": "+",
-    "-": "-",
-    "*": "*",
-    "/": "/",
-    "^": "^",
-    "(": "(",
-    ")": ")",
-}
+#: One pattern scans the whole source: whitespace (unnamed), a number, a
+#: name, an operator, or any other character, which is an error.  ASCII
+#: classes only, so Unicode digits, letters and spaces fall to ``bad``.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]+|(?P<number>\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)|(?P<name>[A-Za-z]+)"
+    r"|(?P<op>[-+*/^()])|(?P<bad>.)",
+    re.ASCII | re.DOTALL,
+)
 
 _BASE_EXPECTED = ("number", "k", "e", "(", "exp", "ln")
 _BINARY = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
@@ -132,37 +143,16 @@ class _Token:
 
 def _tokenize(src: str) -> list[_Token]:
     out: list[_Token] = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch in _WS:
-            i += 1
-            continue
-        if ord(ch) > 127:
-            raise ParseError(f"non-ASCII character {ch!r}", i)
-        if ch.isdigit():
-            m = _NUMBER_RE.match(src, i)
-            assert m is not None
-            out.append(_Token("number", m.group(), i))
-            i = m.end()
-            continue
-        if ch.isalpha():
-            m = _NAME_RE.match(src, i)
-            assert m is not None
-            name = m.group()
-            if name not in ("k", "e", "exp", "ln"):
-                raise ParseError(
-                    f"unknown name {name!r}", i, ("k", "e", "exp", "ln")
-                )
-            out.append(_Token(name, name, i))
-            i = m.end()
-            continue
-        if ch in _SINGLE:
-            out.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(src):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            what = "non-ASCII" if ord(text) > 127 else "unexpected"
+            raise ParseError(f"{what} character {text!r}", pos)
+        if kind == "name" and text not in ("k", "e", "exp", "ln"):
+            raise ParseError(f"unknown name {text!r}", pos, ("k", "e", "exp", "ln"))
+        if kind is not None:
+            out.append(_Token("number" if kind == "number" else text, text, pos))
+    out.append(_Token("end", "", len(src)))
     return out
 
 
@@ -339,19 +329,11 @@ def eval_value(node: ExprAst, k: int) -> float:
         return float(k)
     if kind == "e":
         return math.e
-    if kind in ("add", "sub", "mul", "div", "pow"):
+    if kind in _ARITH:
         a = eval_value(node.children[0], k)
         b = eval_value(node.children[1], k)
         try:
-            if kind == "add":
-                return a + b
-            if kind == "sub":
-                return a - b
-            if kind == "mul":
-                return a * b
-            if kind == "div":
-                return a / b
-            return a**b
+            return _ARITH[kind](a, b)
         except ZeroDivisionError:
             raise DomainError(f"division by zero at k={k}")
         except OverflowError:
@@ -407,9 +389,14 @@ def eval_value_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
     with np.errstate(all="ignore"):
         vals = _value_array(node, ks)
     if not np.all(np.isfinite(vals)):
-        bad = int(ks[np.nonzero(~np.isfinite(vals))[0][0]])
+        bad = _first(ks, ~np.isfinite(vals))
         raise DomainError(f"overflow evaluating {to_source(node)!r} at k={bad}")
     return vals
+
+
+def _first(ks: np.ndarray, mask: np.ndarray) -> int:
+    """The index at the first True of ``mask``, for an error message."""
+    return int(ks[np.nonzero(mask)[0][0]])
 
 
 def _value_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
@@ -420,51 +407,36 @@ def _value_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
         return ks.astype(np.float64)
     if kind == "e":
         return np.full(ks.shape, math.e, dtype=np.float64)
-    if kind in ("add", "sub", "mul", "div", "pow"):
+    if kind in _ARITH:
         a = _value_array(node.children[0], ks)
         b = _value_array(node.children[1], ks)
-        if kind == "add":
-            return a + b
-        if kind == "sub":
-            return a - b
-        if kind == "mul":
-            return a * b
-        if kind == "div":
-            if np.any(b == 0.0):
-                bad = int(ks[np.nonzero(b == 0.0)[0][0]])
-                raise DomainError(f"division by zero at k={bad}")
-            return a / b
-        return np.power(a, b)
+        if kind == "div" and np.any(b == 0.0):
+            raise DomainError(f"division by zero at k={_first(ks, b == 0.0)}")
+        return _ARITH[kind](a, b)
     if kind == "exp":
-        a = _value_array(node.children[0], ks)
-        out = np.exp(a)
+        out = np.exp(_value_array(node.children[0], ks))
         if not np.all(np.isfinite(out)):
-            bad = int(ks[np.nonzero(~np.isfinite(out))[0][0]])
-            raise DomainError(f"inner exp overflow at k={bad}")
+            raise DomainError(f"inner exp overflow at k={_first(ks, ~np.isfinite(out))}")
         return out
     if kind == "ln":
         a = _value_array(node.children[0], ks)
         if np.any(a <= 0.0):
-            bad = int(ks[np.nonzero(a <= 0.0)[0][0]])
-            raise DomainError(f"ln of non-positive value at k={bad}")
+            raise DomainError(f"ln of non-positive value at k={_first(ks, a <= 0.0)}")
         return np.log(a)
     raise DomainError(f"unknown node kind {kind!r}")
 
 
 def eval_log_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
-    """Vectorized log-domain evaluation with the top-level exp shortcut."""
+    """Vectorized log-domain evaluation with the top-level exp shortcut.
+
+    :func:`eval_value_array` returns finite values only.
+    """
     if node.kind == "exp":
-        logs = eval_value_array(node.children[0], ks)
-        if not np.all(np.isfinite(logs)):
-            bad = int(ks[np.nonzero(~np.isfinite(logs))[0][0]])
-            raise DomainError(f"non-finite exponent at k={bad}")
-        return logs
+        return eval_value_array(node.children[0], ks)
     vals = eval_value_array(node, ks)
-    if not np.all(np.isfinite(vals) & (vals > 0.0)):
-        bad = int(ks[np.nonzero(~(np.isfinite(vals) & (vals > 0.0)))[0][0]])
-        raise NonPositiveValue(
-            f"sequence value must be strictly positive and finite at k={bad}"
-        )
+    if np.any(vals <= 0.0):
+        bad = _first(ks, vals <= 0.0)
+        raise NonPositiveValue(f"sequence value must be strictly positive and finite at k={bad}")
     return np.log(vals)
 
 
@@ -503,16 +475,12 @@ def eval_exact(node: ExprAst, k: int) -> Exact | None:
     b = eval_exact(node.children[1], k)
     if b is None:
         return None
-    if kind == "add":
-        return _guard(a + b)
-    if kind == "sub":
-        return _guard(a - b)
-    if kind == "mul":
-        return _guard(a * b)
     if kind == "div":
         if b == 0:
             raise DomainError(f"division by zero at k={k}")
-        return _guard(Fraction(a) / b)
+        a = Fraction(a)
+    if kind != "pow":
+        return _guard(_ARITH[kind](a, b))
     # pow: integer exponents only
     if isinstance(b, Fraction):
         return None
@@ -592,9 +560,6 @@ def lower_log(node: ExprAst) -> RatFunc | None:
         return _lower_log(node)
     except NotExact:
         return None
-
-
-_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": lambda a, b: a * b**-1}
 
 
 def _lower_log(node: ExprAst) -> RatFunc:

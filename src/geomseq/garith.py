@@ -41,9 +41,10 @@ __all__ = [
 ZERO_LOG_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class GNum:
-    """A positive real represented by its natural logarithm.
+    """A positive real represented by its natural logarithm; geometric
+    numbers are ordered by their logs.
 
     Construct with :meth:`from_value` for ordinary positive reals or
     :meth:`from_log` when the log is already known (the usual case for
@@ -81,19 +82,6 @@ class GNum:
 
     def __repr__(self) -> str:
         return f"GNum({self.render()})"
-
-    # Order of geometric numbers == order of their logs.
-    def __lt__(self, other: "GNum") -> bool:
-        return self.log_value < other.log_value
-
-    def __le__(self, other: "GNum") -> bool:
-        return self.log_value <= other.log_value
-
-    def __gt__(self, other: "GNum") -> bool:
-        return self.log_value > other.log_value
-
-    def __ge__(self, other: "GNum") -> bool:
-        return self.log_value >= other.log_value
 
 
 #: The geometric zero (the real number 1).

@@ -21,10 +21,12 @@ float64 renderings of k^4 near k = 1e4 would leave noise of order 2^m.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
+from .errors import UnsupportedOrder
 from .garith import GNum
 from .gseq import GSeq, exact_prefix_sums
 
@@ -45,19 +47,14 @@ def check_order(m: int) -> int:
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"difference order must be a nonnegative integer, got {m!r}")
     if m > MAX_ORDER:
-        raise OverflowError(
-            f"difference order {m} exceeds the supported maximum {MAX_ORDER}"
-        )
+        raise UnsupportedOrder(f"difference order {m} exceeds the supported maximum {MAX_ORDER}")
     return m
 
 
 def binomial_row(m: int) -> list[int]:
     """Row m of Pascal's triangle as exact integers."""
     m = check_order(m)
-    row = [1]
-    for _ in range(m):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
+    return [math.comb(m, v) for v in range(m + 1)]
 
 
 class _DeltaStepView(GSeq):

@@ -9,13 +9,15 @@ terms ``starts[i] + j`` for ``j < count``.  ``log_values(start, count)`` is
 one window; ``log_points(ks)``, ``log_at(k)`` and ``term(k)`` are windows of
 one term, so a term reads the same bits however it is asked for.
 
-A sequence may carry an :class:`ExactForm`, exact logs decided once from
-the expression's structure (:func:`geomseq.exprdsl.lower_log`), never by
-probing terms.  Point reads read it instead of the windows.  The difference
-views difference it symbolically and read their windows from it too,
-because they subtract nearly equal exponents like k^4 at k ~ 1e4, where
-float64 rounding would swamp identities that must cancel to zero.  Other
-exact views keep float windows, whose last bits can differ from the points.
+A sequence may carry an :class:`ExactForm` as its ``exact_form`` (else
+None), exact logs decided once from the expression's structure
+(:func:`geomseq.exprdsl.lower_log`), never by probing terms;
+``exact_form.exact(k)`` is the exact log of term k.  Point reads read it
+instead of the windows.  The difference views difference it symbolically
+and read their windows from it too, because they subtract nearly equal
+exponents like k^4 at k ~ 1e4, where float64 rounding would swamp
+identities that must cancel to zero.  Other exact views keep float
+windows, whose last bits can differ from the points.
 :func:`~geomseq.exprdsl.eval_log_exact` is the per-term reference oracle;
 no access path calls it.
 
@@ -320,22 +322,16 @@ class ExactForm:
     tail: RatFunc
     head: tuple = ()
 
-    def _part(self, k: int) -> RatFunc:
-        return self.tail if k > len(self.head) else self.head[k - 1]
-
     def exact(self, k: int) -> Exact:
-        return self._part(k).exact(k)
-
-    def at(self, k: int) -> float:
-        return self._part(k).at(k)
+        return (self.tail if k > len(self.head) else self.head[k - 1]).exact(k)
 
     def values(self, ks: np.ndarray) -> np.ndarray:
-        """:meth:`at` over an int64 index array of any shape."""
+        """The logs at an int64 index array of any shape, correctly rounded."""
         if ks.min(initial=len(self.head) + 1) > len(self.head):
             return self.tail.values(ks)
         listed = ks <= len(self.head)
         out = np.empty(ks.shape)
-        out[listed] = [self.at(k) for k in ks[listed].tolist()]
+        out[listed] = [self.head[k - 1].at(k) for k in ks[listed].tolist()]
         out[~listed] = self.tail.values(ks[~listed])
         return out
 
@@ -376,10 +372,6 @@ class GSeq:
         """Number of defined terms, or None when unbounded."""
         return None
 
-    @property
-    def has_exact_logs(self) -> bool:
-        return self.exact_form is not None
-
     def term(self, k: int) -> GNum:
         return GNum(self.log_at(k))
 
@@ -396,10 +388,6 @@ class GSeq:
             return self.exact_form.values(ks)
         with np.errstate(over="ignore"):  # a log past float64 reads as +-inf
             return self._windows(ks, 1)[:, 0]
-
-    def log_exact_at(self, k: int) -> Optional[Exact]:
-        """The exact log of term k, or None without an exact form."""
-        return None if self.exact_form is None else self.exact_form.exact(_check_index(k))
 
     def _bounded(self, k: int) -> int:
         k = _check_index(k)
@@ -422,12 +410,6 @@ class GSeq:
         """The one float read: logs of terms ``starts[i] + j`` for
         ``j < count``, as a ``(len(starts), count)`` array."""
         raise NotImplementedError
-
-    def log_exact_block(self, start: int, count: int) -> Optional[list[Exact]]:
-        """Exact logs for a block, or None without an exact form."""
-        if self.exact_form is None:
-            return None
-        return [self.log_exact_at(k) for k in range(start, start + count)]
 
 
 class ExpressionSeq(GSeq):

@@ -4,7 +4,9 @@ Fraction arithmetic (:func:`geomseq.exprdsl.eval_exact`) puts them.  Sums
 take the lcm of the factor lists.  Values are one correctly rounded division
 of Python ints, equal to ``float(Fraction(n, d))``; index arrays use int64
 Horner when every partial sum stays within 2^53 (no overflow, exact conversion,
-correctly rounded IEEE division) and Python ints otherwise.
+correctly rounded IEEE division) and Python ints otherwise.  A sequence holds
+its form as :attr:`geomseq.gseq.GSeq.exact_form`; :meth:`RatFunc.values` is
+the one array read, over any index array.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(_pmul(self.num, other.num), self.den + other.den)
 
+    def __truediv__(self, other: "RatFunc") -> "RatFunc":
+        return self * other**-1
+
     def reciprocal(self) -> "RatFunc":
         """``1 / self``, keeping the poles of self: d^2 / (n d)."""
         return RatFunc(_pmul(self.den_poly, self.den_poly), self.den + (self.num,))
@@ -162,6 +167,3 @@ class RatFunc:
             for k in ks.flat:
                 self.at(k)  # raises at the first quotient past float64
             raise
-
-    def block(self, start: int, count: int) -> np.ndarray:
-        return self.values(np.arange(start, start + count, dtype=np.int64))

@@ -95,7 +95,7 @@ def _reads_one_path(view) -> bool:
     """Windows and points agree for float views and for the difference
     views; an exact non-difference view reads points exactly, windows in
     float."""
-    return not view.has_exact_logs or isinstance(view, (_DeltaStepView, _DeltaBinomialView))
+    return view.exact_form is None or isinstance(view, (_DeltaStepView, _DeltaBinomialView))
 
 
 @_settings

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geomseq import GeometricError, classify, dual_test, seq_from_expr
 from geomseq.cli import dual_report_from_envelope, main, membership_report_from_envelope
+from geomseq.gdiff import MAX_ORDER
 
 
 def run_cli(*args):
@@ -262,7 +263,7 @@ class TestErrors:
     def test_order_cap_is_an_error(self):
         proc = run_cli("diff", "--seq", "exp(k)", "--m", "61", "--range", "1..2")
         assert proc.returncode == 1
-        assert json.loads(proc.stdout)["error"]["type"] == "OverflowError"
+        assert json.loads(proc.stdout)["error"]["type"] == "UnsupportedOrder"
 
     @pytest.mark.parametrize(
         "src, offset",
@@ -438,16 +439,20 @@ _EXPRESSIONS = st.recursive(
     max_leaves=8,
 )
 
-#: A --logs file repeats one of these patterns of extreme logs.
+#: A --logs file repeats one of these patterns of extreme logs, or of
+#: them and a line that is not a number.
 _LOG_PATTERNS = st.lists(
-    st.sampled_from([1e308, -1e308, 1e300, 710.0, 1.0, -1.0, 1e-308, -5e-324, 0.0]),
+    st.sampled_from(
+        [1e308, -1e308, 1e300, 710.0, 1.0, -1.0, 1e-308, -5e-324, 0.0, "not-a-number"]
+    ),
     min_size=1,
     max_size=6,
 )
 
 
 def _commands():
-    N, m = st.sampled_from(["4", "8", "30"]), st.integers(0, 3).map(str)
+    N = st.sampled_from(["4", "8", "30"])
+    m = st.sampled_from(["0", "1", "2", "3", str(MAX_ORDER + 1)])
     return st.one_of(
         st.just(["eval", "--range", "1..6"]),
         m.map(lambda m: ["diff", "--m", m, "--range", "1..6"]),
@@ -462,9 +467,10 @@ def _commands():
 
 
 class TestFullGrammar:
-    """Any expression the grammar accepts, or any file of extreme logs, ends
-    in strict JSON on stdout, nothing on stderr, exit 0, 1 or 2, and on
-    exit 1 an error of this package's own hierarchy."""
+    """Any expression the grammar accepts, or any file of extreme logs, at
+    any order up to one past the cap, ends in strict JSON on stdout, nothing
+    on stderr, exit 0, 1 or 2, and on exit 1 an error of this package's own
+    hierarchy."""
 
     ERRORS = _error_names(GeometricError)
 
@@ -474,11 +480,13 @@ class TestFullGrammar:
     @example(["dual", "--kind", "alpha", "--m", "2", "--N", "900"], "exp(1e300*k)")
     @example(["dual", "--kind", "beta", "--m", "1", "--N", "30"], [1e308, 1e308, -1e308])
     @example(["dual", "--kind", "gamma", "--m", "1", "--N", "30"], [1e308, 1e308, -1e308])
+    @example(["diff", "--m", str(MAX_ORDER + 1), "--range", "1..6"], "exp(k)")
+    @example(["eval", "--range", "1..6"], [1.0, "not-a-number"])
     def test_every_input_ends_in_strict_output(self, argv, seq):
         with tempfile.TemporaryDirectory() as tmp:
             if isinstance(seq, list):
                 path = Path(tmp) / "logs.txt"
-                path.write_text("".join(f"{v!r}\n" for v in seq * 30))
+                path.write_text("".join(f"{v}\n" for v in seq * 30))
                 argv = [*argv, "--seq", str(path), "--logs"]
             else:
                 argv = [*argv, "--seq", seq]

@@ -83,7 +83,7 @@ def _oracle(src: str, m: int, k: int):
 def test_block_equals_terms_bitwise(src, m, start, count):
     # m >= 1: an expression's own blocks stay on the float path by design
     view = delta_binomial(seq_from_expr(src), m)
-    assume(view.has_exact_logs)
+    assume(view.exact_form is not None)
     terms = [_outcome(view.log_at, k) for k in range(start, start + count)]
     if DomainError in terms:
         with pytest.raises(DomainError):
@@ -96,7 +96,7 @@ def test_block_equals_terms_bitwise(src, m, start, count):
 @given(exponents, orders, starts, counts)
 def test_terms_match_the_fraction_oracle(src, m, start, count):
     view = delta_binomial(seq_from_expr(src), m)
-    assume(view.has_exact_logs)
+    assume(view.exact_form is not None)
     for k in range(start, start + min(count, 8)):
         want = _oracle(src, m, k)
         if want is None:
@@ -109,7 +109,7 @@ def test_terms_match_the_fraction_oracle(src, m, start, count):
 def test_recursive_and_binomial_agree_bitwise(src, m, start, count):
     x = seq_from_expr(src)
     rec, bino = delta_recursive(x, m), delta_binomial(x, m)
-    assume(rec.has_exact_logs and bino.has_exact_logs)
+    assume(rec.exact_form is not None and bino.exact_form is not None)
     assert _outcome(rec.log_values, start, count) == _outcome(bino.log_values, start, count)
     for k in (start, start + count - 1):
         assert _outcome(rec.log_at, k) == _outcome(bino.log_at, k)
@@ -135,11 +135,11 @@ def test_pole_raises_on_every_path(start, count):
 class TestStructuralExactness:
     @pytest.mark.parametrize("src", ["exp(2^(0-k))", "exp(k^k)", "exp(ln(k))", "k", "exp(e*k)"])
     def test_exponents_exact_only_at_some_k_go_float(self, src):
-        assert not seq_from_expr(src).has_exact_logs
+        assert seq_from_expr(src).exact_form is None
 
     @pytest.mark.parametrize("src", ["exp(k^2)", "exp(1/k)", "1", "e", "e^(k/3)", "exp(k)^2/e"])
     def test_rational_exponents_are_exact(self, src):
-        assert seq_from_expr(src).has_exact_logs
+        assert seq_from_expr(src).exact_form is not None
 
     def test_degree_cap_is_checked_before_expanding(self):
         assert lower_log(parse("exp((k+1)^1000000)")) is None
@@ -149,7 +149,7 @@ class TestStructuralExactness:
     def test_poles_are_not_cancelled(self):
         for src in ("exp((k-3)/(k-3))", "exp(1/(1/(k-3)))", "exp((1/(k-3))^0)"):
             x = seq_from_expr(src)
-            assert x.has_exact_logs
+            assert x.exact_form is not None
             with pytest.raises(DomainError, match="k=3"):
                 x.log_at(3)
             assert x.log_at(4) == float(eval_log_exact(parse(src), 4))
@@ -157,14 +157,14 @@ class TestStructuralExactness:
     def test_exact_zero_is_positive_zero(self):
         r = RatFunc((0,), [(-3,)])
         assert math.copysign(1.0, r.at(5)) == 1.0
-        assert math.copysign(1.0, r.block(1, 3)[0]) == 1.0
+        assert math.copysign(1.0, r.values(np.arange(1, 4))[0]) == 1.0
         assert _bits(delta_binomial(seq_from_expr("exp(k^2)"), 3).log_values(1, 4)) == _bits([0.0] * 4)
 
     def test_python_int_fallback_matches_int64_path(self):
         r = RatFunc((1,), [(0, 1), (1, 1), (2, 1)])  # 1/(k(k+1)(k+2)): int64 up to k ~ 2e5
-        assert r.block(1, 10).tobytes() == _bits([r.at(k) for k in range(1, 11)])
+        assert r.values(np.arange(1, 11)).tobytes() == _bits([r.at(k) for k in range(1, 11)])
         for start in (300_000, 10**7):  # past 2^53 (in and beyond int64): Python ints
-            big = r.block(start, 2000)
+            big = r.values(np.arange(start, start + 2000))
             assert big.tobytes() == _bits([r.at(k) for k in range(start, start + 2000)])
 
     def test_quotient_beyond_float64_is_a_domain_error(self):
@@ -179,7 +179,7 @@ class TestWindowIndependence:
 
     def test_mixed_exponent_block_is_prefix_stable(self):
         view = delta_binomial(seq_from_expr("exp(k^2+2^(0-k))"), 3)
-        assert not view.has_exact_logs
+        assert view.exact_form is None
         long = view.log_values(1, 400)
         assert view.log_values(1, 50).tobytes() == long[:50].tobytes()
         for k in (1, 42, 200, 351, 400):
@@ -194,8 +194,9 @@ class TestPinnedHead:
     def test_difference_of_a_pinned_head_is_exact(self):
         y = d_operator(seq_from_expr("exp(1/k)"), 2)
         d2 = delta_binomial(y, 2)
-        assert y.log_exact_block(1, 4) == [0, 0, Fraction(1, 3), Fraction(1, 4)]
-        assert d2.log_exact_block(1, 3) == [Fraction(1, 3), Fraction(-5, 12), Fraction(1, 30)]
+        assert [y.exact_form.exact(k) for k in range(1, 5)] == [0, 0, Fraction(1, 3), Fraction(1, 4)]
+        want = [Fraction(1, 3), Fraction(-5, 12), Fraction(1, 30)]
+        assert [d2.exact_form.exact(k) for k in range(1, 4)] == want
         assert _bits(d2.log_values(1, 3)) == _bits([1 / 3, -5 / 12, 1 / 30])
         assert _outcome(delta_recursive(y, 2).log_values, 1, 50) == _outcome(d2.log_values, 1, 50)
 

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -146,6 +147,29 @@ class TestParseErrors:
     def test_non_ascii_rejected(self):
         with pytest.raises(ParseError):
             parse("k²")
+
+    @pytest.mark.parametrize("src, offset", [("k\fk", 1), ("k\vk", 1), ("1.e3", 1), ("k+k;", 3)])
+    def test_unexpected_character_at_its_offset(self, src, offset):
+        message = re.escape(f"unexpected character {src[offset]!r}")
+        with pytest.raises(ParseError, match=message) as exc:
+            parse(src)
+        assert exc.value.offset == offset
+
+    @pytest.mark.parametrize(
+        "src, offset", [("k+\u0663", 2), ("\uff4b", 0), ("k\u00a0+k", 1), ("1\u0663", 1)]
+    )
+    def test_unicode_digits_letters_and_spaces_are_non_ascii(self, src, offset):
+        with pytest.raises(ParseError, match="non-ASCII character") as exc:
+            parse(src)
+        assert exc.value.offset == offset
+
+    def test_exponent_without_digits_ends_the_number(self):
+        with pytest.raises(ParseError, match="unknown name 'ek'") as exc:
+            parse("2ek")
+        assert exc.value.offset == 1
+
+    def test_tab_cr_and_lf_are_whitespace(self):
+        assert to_source(parse("\tk\r+\n1 ")) == "k+1"
 
     def test_negative_literal_rejected(self):
         # unary minus is not in the grammar; spell it 0-k

@@ -96,21 +96,21 @@ class TestSequenceAccess:
 
 class TestExactness:
     def test_power_expressions_are_exact(self):
-        assert ExpressionSeq("exp(k^2)").has_exact_logs
-        assert ExpressionSeq("exp(1/k)").has_exact_logs
-        assert ExpressionSeq("1").has_exact_logs
-        assert ExpressionSeq("e").has_exact_logs
+        assert ExpressionSeq("exp(k^2)").exact_form is not None
+        assert ExpressionSeq("exp(1/k)").exact_form is not None
+        assert ExpressionSeq("1").exact_form is not None
+        assert ExpressionSeq("e").exact_form is not None
 
     def test_ln_expressions_are_not(self):
-        assert not ExpressionSeq("exp(ln(k))").has_exact_logs
+        assert ExpressionSeq("exp(ln(k))").exact_form is None
 
     def test_buffers_are_not(self):
-        assert not seq_from_logs([0.5]).has_exact_logs
+        assert seq_from_logs([0.5]).exact_form is None
 
     def test_exact_log_values(self):
         x = ExpressionSeq("exp(k^3)")
-        assert x.log_exact_at(10) == 1000
-        assert x.log_exact_block(1, 4) == [1, 8, 27, 64]
+        assert x.exact_form.exact(10) == 1000
+        assert [x.exact_form.exact(k) for k in range(1, 5)] == [1, 8, 27, 64]
 
 
 class TestCombinators:
@@ -131,7 +131,7 @@ class TestCombinators:
     def test_constant(self):
         c = seq_constant(GNum(0.5))
         assert term(c, 123).log_value == 0.5
-        assert c.has_exact_logs
+        assert c.exact_form is not None
 
     def test_view_length_is_min_of_children(self):
         a = seq_from_logs([0.1] * 5)

@@ -62,6 +62,12 @@ CLI_COMMANDS = [
     ["dual", "--kind", "alpha", "--m", "2", "--seq", "exp(1e300*k)", "--N", "900"],
     ["dual", "--kind", "beta", "--seq", "overflow.txt", "--logs", "--N", "900"],
     ["dual", "--kind", "gamma", "--seq", "overflow.txt", "--logs", "--N", "900"],
+    # scanner and error paths
+    ["eval", "--seq", "k+\u0663"],
+    ["eval", "--seq", "2ek"],
+    ["eval", "--seq", "1.e3"],
+    ["diff", "--seq", "exp(k)", "--m", "61"],
+    ["eval", "--seq", "bad.txt"],
 ]
 
 #: Indices of the point-read records, by label.
@@ -161,6 +167,7 @@ def process_records():
         (cwd / "values.txt").write_text("".join(f"{1 + 1 / k**2!r}\n" for k in ks))
         (cwd / "logs.txt").write_text("".join(f"{(-1) ** k / k!r}\n" for k in ks))
         (cwd / "overflow.txt").write_text("1e308\n1e308\n-1e308\n" * 700)
+        (cwd / "bad.txt").write_text("1.0\nnot-a-number\n")
         for argv in CLI_COMMANDS:
             name = "cli[" + " ".join(argv) + "]"
             yield process_line(name, [sys.executable, "-m", "geomseq", *argv], cwd)
