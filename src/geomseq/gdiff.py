@@ -15,8 +15,9 @@ Polynomial exponents are the canonical stress case: the m-th difference of
 e^(k^m) is the constant e^((-1)^m * m!) and the (m+1)-st collapses to the
 geometric zero.  Given an exact form (:class:`~geomseq.gseq.ExactForm`),
 both operators difference it symbolically once, when the view is built, and
-read every window and point from it (int64 below 2^53, Python ints beyond);
-float64 renderings of k^4 near k = 1e4 would leave noise of order 2^m.
+read every window and point from it (exact float64 Horner while every value
+stays within 2^53, Python ints beyond); float64 renderings of k^4 near
+k = 1e4 would leave noise of order 2^m.
 """
 
 from __future__ import annotations

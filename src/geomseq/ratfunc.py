@@ -2,9 +2,11 @@
 integer polynomial factors, never reduced, so poles stay where per-term
 Fraction arithmetic (:func:`geomseq.exprdsl.eval_exact`) puts them.  Sums
 take the lcm of the factor lists.  Values are one correctly rounded division
-of Python ints, equal to ``float(Fraction(n, d))``; index arrays use int64
-Horner when every partial sum stays within 2^53 (no overflow, exact conversion,
-correctly rounded IEEE division) and Python ints otherwise.  A sequence holds
+of Python ints, equal to ``float(Fraction(n, d))``.  Index arrays use float64
+Horner when sum |a_i| k_max^i <= 2^53 for the numerator and the denominator
+product: every partial is then an integer of at most 2^53, so it is exact,
+and the one IEEE division rounds n/d correctly ((-n)/(-d) = n/d; an exact
+zero is made +0.0).  Past the bound they use Python ints.  A sequence holds
 its form as :attr:`geomseq.gseq.GSeq.exact_form`; :meth:`RatFunc.values` is
 the one array read, over any index array.
 """
@@ -61,7 +63,7 @@ def _pprod(polys: Iterable[Poly]) -> Poly:
 
 
 def _horner(p: Poly, k):
-    return reduce(lambda acc, c: acc * k + c, reversed(p), 0)
+    return reduce(lambda acc, c: acc * k + c, reversed(p[:-1]), p[-1] if p else 0)
 
 
 class RatFunc:
@@ -149,21 +151,23 @@ class RatFunc:
 
     def values(self, ks: np.ndarray) -> np.ndarray:
         """:meth:`at` over an int64 index array of any shape."""
+        if not ks.size:
+            return np.empty(ks.shape)
         k_max = int(ks.max(initial=1))  # indices start at 1
         small = all(
             sum(abs(c) * k_max**i for i, c in enumerate(p)) <= 1 << 53
             for p in (self.num, self.den_poly)
         )
-        ks = ks if small else ks.astype(object)  # Python ints past 2^53
-        n, d = (_horner(p, ks) + np.zeros(ks.shape, ks.dtype) for p in (self.num, self.den_poly))
-        if not d.all():
-            raise DomainError(f"division by zero at k={int(ks.flat[np.argmin(d != 0)])}")
-        n, d = np.where(d < 0, -n, n), np.abs(d)
-        if small:
-            return n.astype(np.float64) / d.astype(np.float64)
+        # A polynomial of length <= 1 is a scalar: a constant form reads no index.
+        x = ks.astype(np.float64 if small else object) if self.degree > 0 else ks
+        n, d = (_horner(p, x) for p in (self.num, self.den_poly))
+        if not np.all(d):
+            first = np.argmin(np.broadcast_to(d, ks.shape) != 0)
+            raise DomainError(f"division by zero at k={int(ks.flat[first])}")
         try:
-            return (n / d).astype(np.float64)
+            q = n / d + 0.0  # (-n)/(-d) rounds as n/d; + 0.0 makes an exact zero +0.0
         except OverflowError:
             for k in ks.flat:
-                self.at(k)  # raises at the first quotient past float64
+                self.at(int(k))  # raises at the first quotient past float64
             raise
+        return np.full(ks.shape, q) if np.ndim(q) == 0 else q.astype(np.float64, copy=False)

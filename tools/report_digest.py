@@ -5,7 +5,8 @@
 Each line is a record name and the sha256 of what that record produced:
 ``json.dumps(report.to_dict(), sort_keys=True)`` for a library report, or a
 CLI command's / demo's stdout, stderr and exit code; a point-read record
-holds the ``log_at`` of each of its indices (or the error it raised), and
+holds the ``log_at`` of each of its indices (or the error it raised), a
+window record the ``log_values`` / ``log_points`` of one read, and
 the ``namespace`` record the sorted ``geomseq.__all__``.  To check that a change
 leaves every output byte-identical, run the script in a checkout of the
 parent commit as well (copy it there if it is new) and ``diff`` the two
@@ -153,6 +154,24 @@ def point_records():
         yield report_line(f"log_at[exp(1/k)+exp(ln(k)/k)|{label}]", lambda: _points(mixed, ks))
 
 
+def switch_records():
+    """Exact windows on both sides of ``RatFunc.values``' float64 / Python-int
+    switch, which moves with the largest index read."""
+    # 3k^2+3k+1 stays within 2^53 through k = 54 794 157
+    cube = gdiff.delta_binomial(gseq.seq_from_expr("exp(k^3)"), 1)
+    for start in (54_794_142, 54_794_143):
+        yield report_line(
+            f"log_values[delta1 exp(k^3)|{start}|16]", lambda: cube.log_values(start, 16).tolist()
+        )
+    # k^4+2k^3+k^2 stays within 2^53 through k = 9741
+    inv = gdiff.delta_binomial(gseq.seq_from_expr("exp(1/k^2)"), 1)
+    for last in (9741, 9742):
+        ks = np.arange(last - 15, last + 1)
+        yield report_line(
+            f"log_points[delta1 exp(1/k^2)|{last - 15}..{last}]", lambda: inv.log_points(ks).tolist()
+        )
+
+
 def process_line(name: str, argv: list, cwd: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
@@ -180,6 +199,8 @@ def main() -> None:
     for line in library_records():
         print(line, flush=True)
     for line in point_records():
+        print(line, flush=True)
+    for line in switch_records():
         print(line, flush=True)
     for line in process_records():
         print(line, flush=True)
