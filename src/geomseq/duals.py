@@ -35,16 +35,17 @@ from .gdiff import check_order
 from .gseq import (
     DEFAULT_TOL,
     DEFAULT_WINDOW,
+    ExactSum,
     GSeq,
+    RunningMax,
     SparseLogSeq,
     Verdict,
     VerdictKind,
     check_window,
     conjunction,
-    exact_prefix_sums,
     monotone_verdict,
-    signed_series_verdict,
-    window_statistic,
+    series_verdict,
+    window_ends,
 )
 from .spaces import weighted_sup
 
@@ -83,12 +84,16 @@ def alpha_dual_test(
     """Summability of k^m |ln a_k| by the three-window protocol."""
     m = check_order(m)
     check_window(N, tol)
-    logs = a.log_values(1, 2 * N)
-    ks = np.arange(1, 2 * N + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):  # past float64 the sum is inf
-        vals = np.power(ks, float(m)) * np.abs(logs)
-    vals[logs == 0.0] = 0.0  # an inf weight on a zero log adds nothing
-    t_half, t_n, t_2n = window_statistic(math.fsum, vals, N)
+    ends, total, sums = window_ends(N), ExactSum(), []
+    for k, logs in a.log_chunks(1, 2 * N, ends):
+        ks = np.arange(k, k + len(logs), dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # past float64 the sum is inf
+            vals = np.power(ks, float(m)) * np.abs(logs)
+        vals[logs == 0.0] = 0.0  # an inf weight on a zero log adds nothing
+        total.add(vals)
+        if k + len(logs) - 1 in ends:
+            sums.append(total.read())
+    t_half, t_n, t_2n = sums
     verdict = monotone_verdict(t_half, t_n, t_2n, N, tol)
     return DualReport("alpha", m, verdict, GNum(t_n))
 
@@ -102,18 +107,83 @@ def alpha_alpha_dual_test(
     return DualReport("alpha_alpha", m, verdict, partial)
 
 
-def _tail_total(logs: np.ndarray) -> float:
-    """Sum of |R_k| over the block, R_k being the sum of the logs after k."""
-    with np.errstate(over="ignore"):
-        tails = np.cumsum(logs[::-1])[::-1][1:]
-    np.abs(tails, out=tails)  # a view of a fresh cumsum: no second copy
-    return exact_prefix_sums(tails, (len(tails),))[0]
+class _PartialSums:
+    """The partial sums S_k of k ln a_k through 2N, folded piece by piece:
+    S_N and S_2N, sup |S| through N/2, N and 2N, and the range of S over
+    [N/2, N] and over [N, 2N].  Each piece's cumsum starts from the carried
+    S, so S is summed term after term as one cumsum over [1, 2N] sums it.
+    Once S leaves float64 it holds that +-inf (or nan) rather than forming
+    inf - inf."""
+
+    def __init__(self, N: int):
+        self.N = N
+        self.ends = window_ends(N)
+        self.carry = -0.0  # -0.0 + x is x: the first partial is the first term
+        self.top = RunningMax()
+        self.sups: list[float] = []
+        self.at: dict[int, float] = {}
+        self.spans = {(N // 2, N): [math.inf, -math.inf], (N, 2 * N): [math.inf, -math.inf]}
+
+    def add(self, k: int, logs: np.ndarray) -> None:
+        if math.isfinite(self.carry):
+            with np.errstate(over="ignore", invalid="ignore"):
+                s = np.arange(k, k + len(logs), dtype=np.float64) * logs
+                s[0] = self.carry + s[0]
+                np.cumsum(s, out=s)
+            bad = ~np.isfinite(s)
+            if bad.any():  # the series passed float64: diverged
+                i = int(np.argmax(bad))
+                s[i:] = s[i]
+        else:
+            s = np.full(len(logs), self.carry)
+        self.carry = float(s[-1])
+        self.top.add(k, np.abs(s))
+        for (lo, hi), span in self.spans.items():
+            part = s[max(lo - k, 0) : max(hi - k + 1, 0)]
+            if len(part):
+                span[0] = np.minimum(span[0], part.min())
+                span[1] = np.maximum(span[1], part.max())
+        end = k + len(logs) - 1
+        if end in self.ends:
+            self.sups.append(self.top.value)
+            self.at[end] = self.carry
+
+    def series(self, tol: float) -> Verdict:
+        """:func:`series_verdict` of S: convergent iff Cauchy-flat."""
+        N = self.N
+        return series_verdict(self.at[N], self.at[2 * N], self.sups[-1], *self.spans.values(), N, tol)
+
+    def bounded(self, tol: float) -> Verdict:
+        """:func:`monotone_verdict` of sup |S|: bounded iff it stabilizes."""
+        return monotone_verdict(*self.sups, self.N, tol)
+
+
+def _tail_sums(a: GSeq, ends: tuple[int, ...]) -> list[float]:
+    """Sum over k < e of |R_k|, R_k being the sum of the logs of terms
+    k+1 .. e, for each end e, in one backward scan of terms [2, 2N].
+
+    Each R_k is summed from term e down, as the reversed cumsum of the
+    logs through e sums it, by carrying one running float per end; the
+    |R_k| go into one exact sum per end.
+    """
+    carry = {e: -0.0 for e in ends}  # -0.0 + x is x: R_{e-1} is term e
+    sums = {e: ExactSum() for e in ends}
+    for k, logs in a.log_chunks(2, ends[-1], ends, reverse=True):
+        for e in ends:
+            if k + len(logs) - 1 <= e:
+                r = logs[::-1].copy()
+                with np.errstate(over="ignore"):
+                    r[0] = carry[e] + r[0]
+                    np.cumsum(r, out=r)
+                carry[e] = float(r[-1])
+                sums[e].add(np.abs(r, out=r))
+    return [sums[e].read() for e in ends]
 
 
 def _first_order_test(
     kind: str,
     label: str,
-    condition: Callable[[np.ndarray, int, float], Verdict],
+    condition: Callable[[_PartialSums, float], Verdict],
     a: GSeq,
     N: int,
     tol: float,
@@ -121,15 +191,11 @@ def _first_order_test(
     """A condition on the partial sums of k ln a_k, joined with the
     summability of |ln R_k| truncated at the same window (m = 1)."""
     check_window(N, tol)
-    logs = a.log_values(1, 2 * N)
-    ks = np.arange(1, 2 * N + 1, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        partials = np.cumsum(ks * logs)
-    if not np.isfinite(partials[-1]):  # the series passed float64: diverged
-        i = np.flatnonzero(~np.isfinite(partials))[0]
-        partials[i:] = partials[i]  # hold that +-inf rather than form inf - inf
-    cond = condition(partials, N, tol)
-    cond_tails = monotone_verdict(*window_statistic(_tail_total, logs, N), N, tol)
+    partials = _PartialSums(N)
+    for k, logs in a.log_chunks(1, 2 * N, partials.ends):
+        partials.add(k, logs)
+    cond = condition(partials, tol)
+    cond_tails = monotone_verdict(*_tail_sums(a, partials.ends), N, tol)
     joint = conjunction(cond, cond_tails)
     overall = Verdict(
         joint,
@@ -140,26 +206,22 @@ def _first_order_test(
         f"{label} {cond.kind.value}; tails {cond_tails.kind.value}",
     )
     return DualReport(
-        kind, 1, overall, GNum(float(partials[N - 1])), remainder_ok=cond_tails
+        kind, 1, overall, GNum(partials.at[N]), remainder_ok=cond_tails
     )
-
-
-def _bounded_partials(partials: np.ndarray, N: int, tol: float) -> Verdict:
-    return monotone_verdict(*window_statistic(np.max, np.abs(partials), N), N, tol)
 
 
 def beta_dual_test(
     a: GSeq, N: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL
 ) -> DualReport:
     """Signed convergence of sum k ln a_k plus the tail condition (m = 1)."""
-    return _first_order_test("beta", "series", signed_series_verdict, a, N, tol)
+    return _first_order_test("beta", "series", _PartialSums.series, a, N, tol)
 
 
 def gamma_dual_test(
     a: GSeq, N: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL
 ) -> DualReport:
     """Bounded partial sums of k ln a_k plus the tail condition (m = 1)."""
-    return _first_order_test("gamma", "partial sups", _bounded_partials, a, N, tol)
+    return _first_order_test("gamma", "partial sups", _PartialSums.bounded, a, N, tol)
 
 
 def dual_test(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import UnsupportedOrder
 from .garith import GNum
-from .gseq import GSeq, exact_prefix_sums
+from .gseq import GSeq, exact_prefix_sums, sup_gabs
 
 __all__ = [
     "MAX_ORDER",
@@ -172,6 +172,4 @@ def delta_norm(x: GSeq, m: int, N: int) -> GNum:
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"norm window must be a positive integer, got {N!r}")
     head = exact_prefix_sums(np.abs(x.log_points(np.arange(1, m + 1))), [m])[0]
-    tail_view = delta_binomial(x, m)
-    sup = float(np.max(np.abs(tail_view.log_values(1, N))))
-    return GNum(head + sup)
+    return GNum(head + sup_gabs(delta_binomial(x, m), N).log_value)

@@ -27,10 +27,20 @@ undecidable from finitely many terms, so every numeric claim is issued as a
 at windows N/2, N and 2N, then classify by stabilization (growth below
 tol), geometric decay of increments (ratio <= 0.8), persistent growth
 (ratio >= 0.95 or log magnitude beyond 1e6), or give up and say so.  The
-thresholds are package constants, shared by every caller.  A sum is read at
-all three windows in one pass: :func:`exact_prefix_sums` carries the exact
-running sum across chunks as one Python int and rounds it once at each
-window end, to the value ``math.fsum`` gives for that prefix.
+thresholds are package constants, shared by every caller.
+
+Every verdict reads its terms in one scan, :meth:`GSeq.log_chunks`, which
+yields them in pieces of :data:`SUM_CHUNK` that also end at N/2, N and 2N,
+so memory does not grow with N.  Each caller folds the pieces into a few
+small accumulators and reads them at the three ends: :class:`ExactSum`
+carries the exact running sum as one Python int and rounds it once, to the
+value ``math.fsum`` gives for that prefix; :class:`RunningMax` keeps the
+sup and its first term, the witness; a float running sum starts each
+piece's cumsum from the carried total (``x[0] = carry + x[0]``), so it adds
+term after term exactly as one cumsum over the whole window would.  The
+beta and gamma tails R_k = sum of the logs of terms k+1 .. e are summed from
+each end e down; one backward scan from 2N, carrying one float per end,
+gives them bit for bit as the reversed cumsum of the logs through e.
 """
 
 from __future__ import annotations
@@ -40,13 +50,13 @@ import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import Report, json_key
-from .errors import DomainError, IndexOutOfRange, NonPositiveValue
+from .errors import DomainError, GeometricError, IndexOutOfRange, NonPositiveValue
 from .garith import GNum
 from . import exprdsl
 from .exprdsl import ExprAst
@@ -169,24 +179,34 @@ def signed_series_verdict(
     """Convergence probe for a signed series from its partial-sum array.
 
     ``partials[i]`` is the partial sum through index i+1 and must cover
-    2*window terms.  Convergent iff the partial sums are Cauchy-flat (max
-    oscillation below tol) over both [N/2, N] and [N, 2N].
+    2*window terms; :func:`series_verdict` decides from its statistics.
     """
     n = window
     if len(partials) < 2 * n:
         raise ValueError("partial sums must cover the doubled window")
-    s_n = float(partials[n - 1])
-    s_2n = float(partials[2 * n - 1])
-    mag = float(np.max(np.abs(partials[: 2 * n])))
+    w1 = partials[max(0, n // 2 - 1) : n]
+    w2 = partials[n - 1 : 2 * n]
+    return series_verdict(
+        float(partials[n - 1]), float(partials[2 * n - 1]),
+        float(np.max(np.abs(partials[: 2 * n]))),
+        (np.min(w1), np.max(w1)), (np.min(w2), np.max(w2)), n, tol,
+    )
+
+
+def series_verdict(
+    s_n: float, s_2n: float, mag: float, range1: tuple, range2: tuple, n: int, tol: float
+) -> Verdict:
+    """Convergence of a signed series from its partial sums S: S_N, S_2N,
+    the sup of |S| through 2N, and the (min, max) of S over [N/2, N] and
+    over [N, 2N].  Convergent iff S is Cauchy-flat (oscillation max - min
+    below tol) over both."""
     if mag > LOG_MAGNITUDE_LIMIT:
         return Verdict(
             VerdictKind.DIVERGED, None, n, s_n, s_2n,
             "partial sums beyond the log magnitude limit",
         )
-    w1 = partials[max(0, n // 2 - 1) : n]
-    w2 = partials[n - 1 : 2 * n]
-    osc1 = float(np.max(w1) - np.min(w1))
-    osc2 = float(np.max(w2) - np.min(w2))
+    osc1 = float(range1[1] - range1[0])
+    osc2 = float(range2[1] - range2[0])
     if osc1 < tol and osc2 < tol:
         return Verdict(
             VerdictKind.FINITE, GNum(s_2n), n, s_n, s_2n,
@@ -211,18 +231,24 @@ def check_window(N: int, tol: float) -> None:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
 
-#: Terms per chunk of :func:`exact_prefix_sums`.  A chunk's bins sum fewer
-#: than 2^26 integers below 2^27 in float64, which is exact, and its
-#: temporaries are a few 128 KB arrays, so memory does not grow with N.
+#: Terms per chunk of every window scan (:meth:`GSeq.log_chunks`) and of
+#: :class:`ExactSum`.  A chunk's temporaries are a few 128 KB arrays, so
+#: memory does not grow with N.
 SUM_CHUNK = 1 << 14
 
 # A finite float64 is m * 2^(e - 53) with m a 53-bit integer and frexp's
 # exponent e >= -1073, so every term is a whole multiple of 2^-1126.
 _SUM_UNIT = 1 << 1126
 
+# Four bins per exponent: term i goes to lane i & 3, so bincount does not add
+# a run of terms that share an exponent one after another into one bin.
+_LANES = np.arange(SUM_CHUNK) & 3
+
 
 def _chunk_total(chunk: np.ndarray) -> int:
-    """The exact sum of a finite chunk, in units of 2^-1126."""
+    """The exact sum of a finite chunk of at most :data:`SUM_CHUNK` terms,
+    in units of 2^-1126.  Each lane's bin sums at most 2^12 integers below
+    2^27 in float64, which is exact."""
     frac, exp = np.frexp(chunk)
     frac *= 2.0**27
     top = np.floor(frac)  # the signed top 27 bits of the 53-bit mantissa
@@ -230,66 +256,84 @@ def _chunk_total(chunk: np.ndarray) -> int:
     frac *= 2.0**26  # the low 26 bits, a whole number in [0, 2^26)
     idx = exp.astype(np.intp)
     idx += 1073  # a term is mantissa * 2^(idx - 1126); zeros add nothing
+    idx <<= 2
+    idx += _LANES[: len(chunk)]  # bin b holds exponent b >> 2
     hi = np.bincount(idx, weights=top)
     lo = np.bincount(idx, weights=frac)
     bins = np.flatnonzero((hi != 0) | (lo != 0))
     total = 0
     for b, h, l in zip(bins.tolist(), hi[bins].tolist(), lo[bins].tolist()):
-        total += ((int(h) << 26) + int(l)) << b
+        total += ((int(h) << 26) + int(l)) << (b >> 2)
     return total
 
 
-def exact_prefix_sums(vals: np.ndarray, ends: Iterable[int]) -> list[float]:
-    """The correctly rounded sums of ``vals[:e]`` for nondecreasing ends e.
+class ExactSum:
+    """The exact running sum of the float64 chunks added, carried as one
+    Python int.
 
-    One pass in chunks of :data:`SUM_CHUNK`, carrying the exact running sum
-    of the finite terms as one Python int; terms past the last end are not
-    read.  A finite prefix sums bit for bit to ``math.fsum(vals[:e])``,
-    except that a sum past float64 is +-inf rather than an
-    ``OverflowError``.  A prefix holding inf or nan sums to ``math.fsum`` of
-    its non-finite terms, each distinct one kept once: +-inf, nan, or a
+    :meth:`read` rounds it once: a finite sum reads bit for bit as
+    ``math.fsum`` of everything added, except that a sum past float64 is
+    +-inf rather than an ``OverflowError``.  Once inf or nan terms were
+    added it reads as ``math.fsum`` of the distinct ones: +-inf, nan, or a
     ``ValueError`` for +inf together with -inf, as ``math.fsum`` gives.
     """
-    ends = [min(int(e), len(vals)) for e in ends]
-    sums, total, start = [], 0, 0
-    special = np.empty(0)  # the distinct inf and nan terms read so far
-    for end in ends:
-        while start < end:
-            stop = min(start + SUM_CHUNK, end)
-            chunk = vals[start:stop]
+
+    def __init__(self):
+        self.total = 0
+        self.special = np.empty(0)  # the distinct inf and nan terms added
+
+    def add(self, vals: np.ndarray) -> None:
+        for start in range(0, len(vals), SUM_CHUNK):
+            chunk = vals[start : start + SUM_CHUNK]
             finite = np.isfinite(chunk)
             if not finite.all():
-                special = np.unique(np.concatenate([special, chunk[~finite]]))
+                self.special = np.unique(np.concatenate([self.special, chunk[~finite]]))
                 chunk = chunk[finite]
-            total += _chunk_total(chunk)
-            start = stop
-        if len(special):
-            sums.append(math.fsum(special))
-            continue
+            self.total += _chunk_total(chunk)
+
+    def read(self) -> float:
+        if len(self.special):
+            return math.fsum(self.special)
         try:
-            sums.append(total / _SUM_UNIT)  # int / int rounds correctly
+            return self.total / _SUM_UNIT  # int / int rounds correctly
         except OverflowError:
-            sums.append(math.inf if total > 0 else -math.inf)
+            return math.inf if self.total > 0 else -math.inf
+
+
+def exact_prefix_sums(vals: np.ndarray, ends: Iterable[int]) -> list[float]:
+    """:meth:`ExactSum.read` of ``vals[:e]`` for nondecreasing ends e, in one
+    pass; terms past the last end are not read."""
+    acc, start, sums = ExactSum(), 0, []
+    for end in ends:
+        end = min(int(end), len(vals))
+        acc.add(vals[start:end])
+        start = max(start, end)
+        sums.append(acc.read())
     return sums
 
 
-def window_statistic(
-    stat: Callable[[np.ndarray], float],
-    vals: np.ndarray,
-    N: int,
-    offset: int = 0,
-) -> tuple[float, float, float]:
-    """``stat`` of the prefixes of ``vals`` ending at terms N/2, N and 2N.
+class RunningMax:
+    """The max of the chunks added and the first term holding it, as
+    ``np.max`` and ``np.argmax`` give over all of them: once a nan is added
+    the max is nan, held at the first nan."""
 
-    ``vals[0]`` holds term ``offset + 1`` and ``vals`` runs through term 2N.
-    The first prefix ends at term N/2, or at the first term when N/2 does
-    not lie past the offset.  ``math.fsum`` is read at all three ends in one
-    pass of :func:`exact_prefix_sums`.
-    """
-    ends = [end - offset for end in (max(offset + 1, N // 2), N, 2 * N)]
-    if stat is math.fsum:
-        return tuple(exact_prefix_sums(vals, ends))
-    return tuple(float(stat(vals[:end])) for end in ends)
+    def __init__(self):
+        self.value = -math.inf
+        self.index: Optional[int] = None
+
+    def add(self, k: int, vals: np.ndarray) -> None:
+        """Fold in ``vals``, ``vals[0]`` being term k."""
+        if not len(vals) or math.isnan(self.value):
+            return
+        i = int(np.argmax(vals))
+        if self.index is None or not vals[i] <= self.value:  # larger, or nan
+            self.value, self.index = float(vals[i]), k + i
+
+
+def window_ends(N: int, first: int = 1) -> tuple[int, int, int]:
+    """The last terms of the three probe windows of a scan from ``first``:
+    N/2 (or ``first`` when N/2 lies before it), N and 2N."""
+    return max(first, N // 2), N, 2 * N
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +449,35 @@ class GSeq:
             self._bounded(start + count - 1)
         with np.errstate(over="ignore"):
             return self._windows(np.array([start], dtype=np.int64), count)[0]
+
+    def log_chunks(
+        self, first: int, last: int, stops: Iterable[int] = (), reverse: bool = False
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """The window scan: the logs of terms first..last as ``(k, logs)``
+        pieces, ``logs[0]`` being term k, each read by :meth:`log_values`.
+
+        A piece holds at most :data:`SUM_CHUNK` terms and ends at every stop
+        in the range, so a fold over the pieces can be read there.  Pieces
+        come in ascending order, or with ``reverse`` the same pieces from
+        ``last`` down.  The whole range is checked before any term is read,
+        and where a piece fails the range is read whole, so a scan raises
+        what ``log_values(first, last - first + 1)`` raises.
+        """
+        first = self._bounded(first)
+        if last < first:
+            return
+        self._bounded(last)
+        edges = sorted({first, last + 1} | {s + 1 for s in stops if first <= s < last})
+        segments = list(zip(edges, edges[1:]))
+        for a, b in reversed(segments) if reverse else segments:
+            starts = range(a, b, SUM_CHUNK)
+            for lo in reversed(starts) if reverse else starts:
+                try:
+                    logs = self.log_values(lo, min(SUM_CHUNK, b - lo))
+                except GeometricError:
+                    self.log_values(first, last - first + 1)
+                    raise
+                yield lo, logs
 
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
         """The one float read: logs of terms ``starts[i] + j`` for
@@ -566,19 +639,25 @@ def term(x: GSeq, k: int) -> GNum:
 
 def gsum_partial(x: GSeq, n: int) -> GNum:
     """Geometric partial sum of the first n terms: exp of the correctly
-    rounded sum of their logs (:func:`exact_prefix_sums`)."""
+    rounded sum of their logs (:class:`ExactSum`)."""
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"partial sums want a nonnegative term count, got {n!r}")
     if n == 0:
         return GNum(0.0)
-    return GNum(exact_prefix_sums(x.log_values(1, n), (n,))[0])
+    total = ExactSum()
+    for _, logs in x.log_chunks(1, n):
+        total.add(logs)
+    return GNum(total.read())
 
 
 def sup_gabs(x: GSeq, N: int) -> GNum:
     """Supremum of the geometric absolute values of the first N terms."""
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"sup window must be a positive integer, got {N!r}")
-    return GNum(float(np.max(np.abs(x.log_values(1, N)))))
+    top = RunningMax()
+    for k, logs in x.log_chunks(1, N):
+        top.add(k, np.abs(logs))
+    return GNum(top.value)
 
 
 def _probe_ks(lo: int, hi: int, points: int = PROBE_POINTS) -> np.ndarray:
@@ -643,8 +722,12 @@ def remainder(
         raise ValueError(f"window N must exceed n + 1, got N={N!r}, n={n!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    logs = a.log_values(n + 1, 2 * N - n)
-    t_half, t_n, t_2n = window_statistic(math.fsum, logs, N, offset=n)
+    ends, total, sums = window_ends(N, n + 1), ExactSum(), []
+    for k, logs in a.log_chunks(n + 1, 2 * N, ends):
+        total.add(logs)
+        if k + len(logs) - 1 in ends:
+            sums.append(total.read())
+    t_half, t_n, t_2n = sums
     tail = GNum(t_n)
     d2 = abs(t_2n - t_n)
     d1 = abs(t_n - t_half)

@@ -33,6 +33,7 @@ from .gseq import (
     DEFAULT_TOL,
     DEFAULT_WINDOW,
     GSeq,
+    RunningMax,
     Verdict,
     VerdictKind,
     _limit_probe_detail,
@@ -41,7 +42,7 @@ from .gseq import (
     monotone_verdict,
     seq_from_expr,
     seq_odot,
-    window_statistic,
+    window_ends,
 )
 
 __all__ = [
@@ -94,9 +95,8 @@ def classify(
     diff = delta_binomial(x, m)
 
     if space == "linf":
-        vals = np.abs(diff.log_values(1, 2 * N))
-        verdict = monotone_verdict(*window_statistic(np.max, vals, N), N, tol)
-        witness = int(np.argmax(vals)) + 1
+        sups, witness = _weighted_sups(diff, 0.0, N)
+        verdict = monotone_verdict(*sups, N, tol)
     else:
         verdict, witness = _limit_probe_detail(diff, N, tol)
         # c0: a geometric limit must additionally be the geometric zero.
@@ -130,11 +130,20 @@ def weighted_sup(
     """
     diff_order = check_order(diff_order)
     check_window(N, tol)
-    diff = delta_binomial(x, diff_order)
-    ks = np.arange(1, 2 * N + 1, dtype=np.float64)
-    vals = np.power(ks, float(weight_exp)) * np.abs(diff.log_values(1, 2 * N))
-    s_half, s_n, s_2n = window_statistic(np.max, vals, N)
+    (s_half, s_n, s_2n), _ = _weighted_sups(delta_binomial(x, diff_order), weight_exp, N)
     return GNum(s_n), monotone_verdict(s_half, s_n, s_2n, N, tol)
+
+
+def _weighted_sups(diff: GSeq, weight_exp: float, N: int) -> tuple[list[float], Optional[int]]:
+    """The sup of k^weight_exp |ln diff_k| through N/2, N and 2N, and the
+    first term holding the sup through 2N, in one scan."""
+    ends, top, sups = window_ends(N), RunningMax(), []
+    for k, logs in diff.log_chunks(1, 2 * N, ends):
+        ks = np.arange(k, k + len(logs), dtype=np.float64)
+        top.add(k, np.power(ks, float(weight_exp)) * np.abs(logs))
+        if k + len(logs) - 1 in ends:
+            sups.append(top.value)
+    return sups, top.index
 
 
 @dataclass(frozen=True)
@@ -175,18 +184,25 @@ def lemma_equivalence_check(
     The report exposes whether (a) agrees with the conjunction of (b).
     """
     check_window(N, tol)
-    logs = x.log_values(1, 2 * N + 1)
-    ks = np.arange(1, 2 * N + 1, dtype=np.float64)
-    head = logs[:-1]
-    tail = logs[1:]
-    with np.errstate(over="ignore"):  # a difference past float64 is unbounded
-        a_vals = np.abs(head - tail)
-        b_i_vals = np.abs(head) / ks
-        b_ii_vals = np.abs(head - (ks / (ks + 1.0)) * tail)
-    verdicts = [
-        monotone_verdict(*window_statistic(np.max, vals, N), N, tol)
-        for vals in (a_vals, b_i_vals, b_ii_vals)
-    ]
+    # Term k pairs with term k+1, so a scan read through term e + 1 has
+    # every pair of the window ending at e.
+    ends = window_ends(N)
+    tops = [RunningMax() for _ in range(3)]
+    sups = []
+    before = np.empty(0)  # the last term of the previous piece
+    for k, logs in x.log_chunks(1, 2 * N + 1, [e + 1 for e in ends]):
+        pair = np.concatenate([before, logs])
+        head, tail = pair[:-1], pair[1:]
+        k0 = k - len(before)
+        ks = np.arange(k0, k0 + len(head), dtype=np.float64)
+        with np.errstate(over="ignore"):  # a difference past float64 is unbounded
+            tops[0].add(k0, np.abs(head - tail))
+            tops[1].add(k0, np.abs(head) / ks)
+            tops[2].add(k0, np.abs(head - (ks / (ks + 1.0)) * tail))
+        before = logs[-1:]
+        if k + len(logs) - 2 in ends:
+            sups.append([top.value for top in tops])
+    verdicts = [monotone_verdict(*part, N, tol) for part in zip(*sups)]
     return LemmaEquivalenceReport(*verdicts, window=N)
 
 

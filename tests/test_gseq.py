@@ -1,23 +1,37 @@
 """Sequence layer: lazy views, partial geometric sums, tails, and the
 three-window verdict protocol they all share."""
 
+import json
 import math
+import subprocess
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from geomseq import (
+    DomainError,
+    DualReport,
     GNum,
     GZERO,
     IndexOutOfRange,
+    LemmaEquivalenceReport,
+    MembershipReport,
     NonPositiveValue,
     Verdict,
     VerdictKind,
+    alpha_alpha_dual_test,
+    alpha_dual_test,
+    beta_dual_test,
+    classify,
+    delta_binomial,
+    delta_norm,
     g_limit_probe,
+    gamma_dual_test,
     gsum_partial,
+    lemma_equivalence_check,
     remainder,
     seq_constant,
     seq_from_expr,
@@ -28,6 +42,7 @@ from geomseq import (
     seq_scale,
     sup_gabs,
     term,
+    weighted_sup,
 )
 from geomseq.gseq import (
     BufferSeq,
@@ -38,7 +53,6 @@ from geomseq.gseq import (
     exact_prefix_sums,
     monotone_verdict,
     signed_series_verdict,
-    window_statistic,
 )
 
 
@@ -276,31 +290,6 @@ class TestVerdictProtocol:
         assert conjunction(fin, inc) is VerdictKind.INCONCLUSIVE
 
 
-class TestWindowStatistic:
-    @given(
-        st.integers(min_value=4, max_value=300),
-        st.data(),
-        st.sampled_from([np.max, math.fsum]),
-    )
-    def test_equals_direct_prefix_reductions(self, N, data, stat):
-        offset = data.draw(st.integers(min_value=0, max_value=N - 2))
-        vals = np.array(
-            data.draw(
-                st.lists(
-                    st.floats(min_value=-1e6, max_value=1e6),
-                    min_size=2 * N - offset,
-                    max_size=2 * N - offset,
-                )
-            )
-        )
-        terms = range(offset + 1, 2 * N + 1)  # the term each value belongs to
-        ends = (max(offset + 1, N // 2), N, 2 * N)
-        direct = tuple(
-            float(stat([v for k, v in zip(terms, vals) if k <= end])) for end in ends
-        )
-        assert window_statistic(stat, vals, N, offset) == direct
-
-
 def _fsum_or_exact(vals):
     """``math.fsum``, or where it overflows, the sum taken exactly in
     Fractions and rounded once (+-inf past float64)."""
@@ -388,3 +377,293 @@ class TestExactPrefixSums:
         for vals in ([-0.0], [-0.0, -0.0], [1.5, -1.5], [5e-324, -5e-324]):
             (total,) = exact_prefix_sums(np.array(vals), [len(vals)])
             assert total.hex() == "0x0.0p+0"
+
+
+# ---------------------------------------------------------------------------
+# The window scan.  Every N/2, N, 2N report reads its terms in pieces of
+# SUM_CHUNK; the references below read them as one whole array, with the
+# formulas the reports were read with before the scan.
+
+
+def _stat_at_ends(stat, vals, N, offset=0):
+    """``stat`` of the prefixes of ``vals`` (``vals[0]`` is term offset + 1)
+    ending at terms N/2 (or offset + 1), N and 2N."""
+    ends = [end - offset for end in (max(offset + 1, N // 2), N, 2 * N)]
+    if stat is math.fsum:
+        return tuple(exact_prefix_sums(vals, ends))
+    return tuple(float(stat(vals[:end])) for end in ends)
+
+
+def _tail_total(logs):
+    """Sum of |R_k| over the block, R_k being the sum of the logs after k."""
+    with np.errstate(over="ignore"):
+        tails = np.cumsum(logs[::-1])[::-1][1:]
+    return exact_prefix_sums(np.abs(tails), (len(tails),))[0]
+
+
+def _weights(m, N):
+    return np.power(np.arange(1, 2 * N + 1, dtype=np.float64), float(m))
+
+
+def _whole_alpha(a, m, N, tol):
+    logs = a.log_values(1, 2 * N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = _weights(m, N) * np.abs(logs)
+    vals[logs == 0.0] = 0.0
+    t = _stat_at_ends(math.fsum, vals, N)
+    return DualReport("alpha", m, monotone_verdict(*t, N, tol), GNum(t[1]))
+
+
+def _whole_weighted_sup(x, d, w, N, tol):
+    logs = delta_binomial(x, d).log_values(1, 2 * N)
+    with np.errstate(over="ignore"):
+        vals = _weights(w, N) * np.abs(logs)
+    s = _stat_at_ends(np.max, vals, N)
+    return GNum(s[1]), monotone_verdict(*s, N, tol)
+
+
+def _whole_alpha_alpha(a, m, N, tol):
+    partial, verdict = _whole_weighted_sup(a, 0, -float(m), N, tol)
+    return DualReport("alpha_alpha", m, verdict, partial)
+
+
+def _whole_first_order(kind, a, N, tol):
+    logs = a.log_values(1, 2 * N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        partials = np.cumsum(_weights(1, N) * logs)
+    if not np.isfinite(partials[-1]):
+        i = np.flatnonzero(~np.isfinite(partials))[0]
+        partials[i:] = partials[i]
+    if kind == "beta":
+        label, cond = "series", signed_series_verdict(partials, N, tol)
+    else:
+        label = "partial sups"
+        cond = monotone_verdict(*_stat_at_ends(np.max, np.abs(partials), N), N, tol)
+    tails = monotone_verdict(*_stat_at_ends(_tail_total, logs, N), N, tol)
+    joint = conjunction(cond, tails)
+    overall = Verdict(
+        joint, cond.estimate if joint is VerdictKind.FINITE else None, N,
+        cond.probe_n, cond.probe_2n, f"{label} {cond.kind.value}; tails {tails.kind.value}",
+    )
+    return DualReport(kind, 1, overall, GNum(float(partials[N - 1])), remainder_ok=tails)
+
+
+def _whole_linf(x, m, N, tol):
+    vals = np.abs(delta_binomial(x, m).log_values(1, 2 * N))
+    verdict = monotone_verdict(*_stat_at_ends(np.max, vals, N), N, tol)
+    witness = int(np.argmax(vals)) + 1
+    return MembershipReport(
+        "linf", m, verdict, witness if verdict.kind is VerdictKind.DIVERGED else None, N
+    )
+
+
+def _whole_lemma(x, N, tol):
+    logs = x.log_values(1, 2 * N + 1)
+    ks = np.arange(1, 2 * N + 1, dtype=np.float64)
+    head, tail = logs[:-1], logs[1:]
+    with np.errstate(over="ignore"):
+        parts = (np.abs(head - tail), np.abs(head) / ks, np.abs(head - (ks / (ks + 1.0)) * tail))
+    verdicts = [monotone_verdict(*_stat_at_ends(np.max, v, N), N, tol) for v in parts]
+    return LemmaEquivalenceReport(*verdicts, window=N)
+
+
+def _whole_remainder(a, n, N, tol):
+    t_half, t_n, t_2n = _stat_at_ends(math.fsum, a.log_values(n + 1, 2 * N - n), N, n)
+    d2, d1 = abs(t_2n - t_n), abs(t_n - t_half)
+    if max(abs(t_n), abs(t_2n)) > 1e6:
+        kind, why = VerdictKind.DIVERGED, "tail beyond the log magnitude limit"
+    elif d2 < tol:
+        kind, why = VerdictKind.FINITE, "tails at N and 2N agree below tol"
+    elif d1 >= tol and d2 >= 0.95 * d1:
+        kind, why = VerdictKind.DIVERGED, "tail discrepancy not shrinking between windows"
+    else:
+        kind, why = VerdictKind.INCONCLUSIVE, "tail still moving at this window"
+    tail = GNum(t_n)
+    return tail, Verdict(kind, tail if kind is VerdictKind.FINITE else None, N, t_n, t_2n, why)
+
+
+def _json(report):
+    if isinstance(report, tuple):  # (value, verdict)
+        report = [report[0].log_value, report[1].to_dict()]
+    else:
+        report = report.to_dict()
+    return json.dumps(report, sort_keys=True)
+
+
+@st.composite
+def scan_cases(draw):
+    """A window N that puts N/2, N or 2N on a SUM_CHUNK multiple or one
+    term off it, and a buffer of 2N + 2 logs: a smooth or noisy base, or
+    all -0.0, with runs of +-1e308 (partial sums past float64), zeros and
+    -0.0 dropped on the window ends and piece boundaries."""
+    C = SUM_CHUNK
+    d = draw(st.sampled_from([-1, 0, 1]))
+    which = draw(st.sampled_from(["N/2", "N", "2N"]))
+    if which == "N/2":
+        N = 2 * (C + d) + draw(st.integers(0, 1))
+    elif which == "N":
+        N = draw(st.integers(1, 2)) * C + d
+    else:  # 2N is even: it lands on the multiple or two terms off it
+        N = draw(st.integers(1, 3)) * C // 2 + d
+    n = 2 * N + 2  # the second difference reads two terms past 2N
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ks = np.arange(1, n + 1, dtype=np.float64)
+    base = draw(st.sampled_from(["power", "alternating", "noise", "-0.0"]))
+    if base == "power":
+        logs = draw(st.sampled_from([1.0, -1.0])) * ks ** -draw(st.sampled_from([0.5, 1.0, 2.5]))
+    elif base == "alternating":
+        logs = (-1.0) ** ks / ks
+    elif base == "noise":
+        logs = rng.normal(0.0, 1e-3, n)
+    else:
+        logs = np.full(n, -0.0)
+    marks = [1, N // 2, N, 2 * N, *range(C, n, C)]
+    for _ in range(draw(st.integers(0, 3))):
+        values = draw(st.sampled_from([[1e308], [-1e308], [1e308, -1e308], [0.0], [-0.0]]))
+        start = min(max(1, draw(st.sampled_from(marks)) + draw(st.integers(-2, 2))), n)
+        for value in values:  # +1e308 then -1e308 would form inf - inf past float64
+            stop = start + draw(st.integers(1, 40))
+            logs[start - 1 : stop - 1] = value
+            start = min(stop, n)
+    return N, logs
+
+
+def _held_case():
+    """+1e308 then -1e308 across the end N and a piece boundary: the
+    partial sums pass float64 and must hold +inf, not form inf - inf."""
+    N = SUM_CHUNK + 1
+    ks = np.arange(1, 2 * N + 3, dtype=np.float64)
+    logs = (-1.0) ** ks / ks
+    logs[N - 3 : N + 2] = 1e308
+    logs[N + 2 : N + 6] = -1e308
+    return N, logs
+
+
+def _streamed_and_whole(x, N, m, n):
+    tol = 1e-6
+    return [
+        (alpha_dual_test(x, m, N, tol), _whole_alpha(x, m, N, tol)),
+        (alpha_alpha_dual_test(x, m, N, tol), _whole_alpha_alpha(x, m, N, tol)),
+        (beta_dual_test(x, N, tol), _whole_first_order("beta", x, N, tol)),
+        (gamma_dual_test(x, N, tol), _whole_first_order("gamma", x, N, tol)),
+        (classify(x, "linf", m % 3, N, tol), _whole_linf(x, m % 3, N, tol)),
+        (weighted_sup(x, 1, 0.5, N, tol), _whole_weighted_sup(x, 1, 0.5, N, tol)),
+        (lemma_equivalence_check(x, N, tol), _whole_lemma(x, N, tol)),
+        (remainder(x, n, N, tol), _whole_remainder(x, n, N, tol)),
+    ]
+
+
+class TestWindowScan:
+    @settings(max_examples=12, deadline=None)
+    @given(scan_cases(), st.sampled_from([1, 2, 3]), st.sampled_from([0, 3, SUM_CHUNK - 1, SUM_CHUNK]))
+    @example(_held_case(), 1, 3)
+    @example((SUM_CHUNK, np.full(2 * SUM_CHUNK + 2, -0.0)), 3, 0)
+    def test_streamed_reports_equal_whole_array_reads(self, case, m, n):
+        N, logs = case
+        x = seq_from_logs(logs)
+        for streamed, whole in _streamed_and_whole(x, N, m, min(n, N - 2)):
+            assert _json(streamed) == _json(whole)
+        assert gsum_partial(x, 2 * N).log_value.hex() == _fsum_or_exact(logs[: 2 * N]).hex()
+        assert sup_gabs(x, N).log_value == np.max(np.abs(logs[:N]))
+
+    def test_an_infinite_weight_on_a_zero_log_adds_nothing(self):
+        # k^60 passes float64 from k = 137 000 on: there the zero logs read
+        # 0 * inf, which the alpha sum must skip
+        N = 5 * SUM_CHUNK
+        logs = np.full(2 * N, 1e-300)
+        logs[140_000:] = 0.0
+        x = seq_from_logs(logs)
+        report = alpha_dual_test(x, 60, N)
+        assert _json(report) == _json(_whole_alpha(x, 60, N, 1e-6))
+        assert report.verdict.probe_2n == math.inf  # k^60 * 1e-300 passes float64 first
+        logs[100_000:] = 0.0
+        report = alpha_dual_test(seq_from_logs(logs), 60, N)
+        assert _json(report) == _json(_whole_alpha(seq_from_logs(logs), 60, N, 1e-6))
+        assert math.isfinite(report.verdict.probe_2n)
+
+    def test_pieces_cover_the_range_and_end_at_each_stop(self):
+        x = seq_from_logs(np.arange(1.0, 3 * SUM_CHUNK + 8))
+        stops = (5, SUM_CHUNK, SUM_CHUNK + 1, 2 * SUM_CHUNK - 1)
+        pieces = [(k, len(logs)) for k, logs in x.log_chunks(3, 3 * SUM_CHUNK + 2, stops)]
+        ends = [k + n - 1 for k, n in pieces]
+        assert pieces[0][0] == 3 and ends[-1] == 3 * SUM_CHUNK + 2
+        assert all(k == e + 1 for (k, _), e in zip(pieces[1:], ends))
+        assert all(0 < n <= SUM_CHUNK for _, n in pieces)
+        assert set(stops) <= set(ends)
+        backward = list(x.log_chunks(3, 3 * SUM_CHUNK + 2, stops, reverse=True))
+        assert [(k, len(logs)) for k, logs in backward] == pieces[::-1]
+        for k, logs in backward:
+            assert np.array_equal(logs, np.arange(k, k + len(logs), dtype=np.float64))
+
+    def test_a_short_buffer_names_the_window_end(self):
+        """Each scan checks its whole range before reading a term, so the
+        error names the last term of the window, not of the first piece
+        that runs past the buffer."""
+        L, N = SUM_CHUNK + 3, 10_000
+        x = seq_from_logs(np.full(L, 0.5))
+        calls = {
+            "alpha": (lambda: alpha_dual_test(x, 2, N), 2 * N, L),
+            "alpha_alpha": (lambda: alpha_alpha_dual_test(x, 1, N), 2 * N, L),
+            "beta": (lambda: beta_dual_test(x, N), 2 * N, L),
+            "gamma": (lambda: gamma_dual_test(x, N), 2 * N, L),
+            "linf": (lambda: classify(x, "linf", 1, N), 2 * N, L - 1),
+            "lemma": (lambda: lemma_equivalence_check(x, N), 2 * N + 1, L),
+            "remainder": (lambda: remainder(x, 3, N), 2 * N, L),
+            "gsum_partial": (lambda: gsum_partial(x, 2 * N), 2 * N, L),
+            "sup_gabs": (lambda: sup_gabs(x, 2 * N), 2 * N, L),
+            "delta_norm": (lambda: delta_norm(x, 2, 2 * N), 2 * N, L - 2),
+        }
+        for name, (call, last, defined) in calls.items():
+            with pytest.raises(IndexOutOfRange) as err:
+                call()
+            assert str(err.value) == f"index {last} beyond the {defined} defined terms", name
+
+    def test_a_failing_piece_raises_what_the_whole_read_raises(self):
+        # The first piece divides by zero at k = 5, but a whole read of the
+        # window meets the inner exp overflow (from k = 21 294) first.
+        x = seq_from_expr("exp(k/30)/(k-5)")
+        N = 12_000
+        with pytest.raises(DomainError) as whole:
+            x.log_values(1, 2 * N)
+        assert "inner exp overflow" in str(whole.value)
+        for call in (lambda: alpha_dual_test(x, 1, N), lambda: classify(x, "linf", 0, N),
+                     lambda: beta_dual_test(x, N), lambda: gsum_partial(x, 2 * N)):
+            with pytest.raises(DomainError) as err:
+                call()
+            assert str(err.value) == str(whole.value)
+
+
+MEMORY_GATE = """
+import resource, sys
+import geomseq as gs
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1 << (20 if sys.platform == "darwin" else 10))
+
+floor = peak_mb()
+N = 10**6
+exact, floats = gs.seq_from_expr("exp(1/k^2)"), gs.seq_from_expr("exp(ln(k)/k)")
+gs.alpha_dual_test(exact, 2, N)
+gs.alpha_alpha_dual_test(floats, 1, N)
+gs.beta_dual_test(exact, N)
+gs.gamma_dual_test(floats, N)
+gs.classify(floats, "linf", 0, N)
+gs.classify(exact, "linf", 1, N)  # Python-int blocks past k = 9741
+print(peak_mb() - floor)
+"""
+
+
+#: Runs the gate one process further down: Linux keeps ru_maxrss across
+#: exec, so a child started straight from the test process would begin at
+#: that process's own peak and hide any growth below it.
+RELAY = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+
+
+def test_memory_does_not_grow_with_the_window():
+    """At N = 10^6 the scans stay within 16 MB of the post-import floor,
+    measured in a fresh process (ru_maxrss is a high-water mark)."""
+    proc = subprocess.run(
+        [sys.executable, "-c", RELAY, MEMORY_GATE], capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 16.0

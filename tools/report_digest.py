@@ -16,6 +16,7 @@ files.  The package is imported from the ``src/`` next to this script.
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -24,13 +25,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
 import geomseq  # noqa: E402
 from geomseq import catalog, duals, gdiff, gseq, spaces  # noqa: E402
+import answers  # noqa: E402  (perfbench's answer key)
+from decks import power_buffer_logs  # noqa: E402
 
 N = 100_000
+
+#: Windows of the scan records: at 2^15 the ends N/2, N and 2N each close a
+#: 2^14-term piece of the window scan; at 2^15 + 3 none does.
+SCAN_WINDOWS = (1 << 15, (1 << 15) + 3)
+
+#: The window of float-duals' four seeded power-buffer dual tests.
+BIG_WINDOW = 1_000_000
 
 CLI_COMMANDS = [
     # the README examples
@@ -172,6 +183,36 @@ def switch_records():
         )
 
 
+def scan_records():
+    """The windowed reports at :data:`SCAN_WINDOWS` on every catalog entry,
+    and float-duals' four N = 10^6 dual tests on the power buffers that
+    its seeds 1 and 2 draw."""
+    for entry in catalog.catalog_entries():
+        x, name = entry.seq, entry.name
+        for n in SCAN_WINDOWS:
+            reports = {
+                "alpha|2": lambda: duals.alpha_dual_test(x, 2, n).to_dict(),
+                "alpha_alpha|1": lambda: duals.alpha_alpha_dual_test(x, 1, n).to_dict(),
+                "beta": lambda: duals.beta_dual_test(x, n).to_dict(),
+                "gamma": lambda: duals.gamma_dual_test(x, n).to_dict(),
+                "linf|1": lambda: spaces.classify(x, "linf", 1, n).to_dict(),
+                "lemma": lambda: spaces.lemma_equivalence_check(x, n).to_dict(),
+                "remainder|16383": lambda: _pair(gseq.remainder(x, 16383, n)),
+            }
+            for label, make in reports.items():
+                yield report_line(f"scan[{name}|{label}|{n}]", make)
+    for seed in (1, 2):
+        rng = random.Random(seed)  # drawn in the order of perfbench's float-duals deck
+        for kind in duals.DUAL_KINDS:
+            m = rng.randint(1, 3) if kind.startswith("alpha") else 1
+            spec = answers.draw_power_buffer(rng, kind, m)
+            x = gseq.seq_from_logs(power_buffer_logs(spec, BIG_WINDOW))
+            yield report_line(
+                f"power_buffer[{seed}|{kind}|{m}|{spec.p!r}|{spec.sign!r}]",
+                lambda: duals.dual_test(x, kind, m, BIG_WINDOW).to_dict(),
+            )
+
+
 def process_line(name: str, argv: list, cwd: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
@@ -201,6 +242,8 @@ def main() -> None:
     for line in point_records():
         print(line, flush=True)
     for line in switch_records():
+        print(line, flush=True)
+    for line in scan_records():
         print(line, flush=True)
     for line in process_records():
         print(line, flush=True)
