@@ -50,20 +50,6 @@ class CatalogEntry:
     space_annotations: dict[tuple[str, int], Annotation]
     dual_annotations: dict[tuple[str, int], Annotation]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "definition": self.definition_text,
-            "spaces": [
-                {"space": s, "m": m, "member": a.member, "basis": a.basis, "note": a.note}
-                for (s, m), a in sorted(self.space_annotations.items())
-            ],
-            "duals": [
-                {"kind": k, "m": m, "member": a.member, "basis": a.basis, "note": a.note}
-                for (k, m), a in sorted(self.dual_annotations.items())
-            ],
-        }
-
 
 def _ann(table: dict) -> dict:
     return {key: Annotation(*val) for key, val in table.items()}

@@ -47,7 +47,7 @@ from .gseq import (
     series_verdict,
     window_ends,
 )
-from .spaces import weighted_sup
+from .spaces import _weighted_abs, weighted_sup
 
 __all__ = [
     "DUAL_KINDS",
@@ -86,11 +86,7 @@ def alpha_dual_test(
     check_window(N, tol)
     ends, total, sums = window_ends(N), ExactSum(), []
     for k, logs in a.log_chunks(1, 2 * N, ends):
-        ks = np.arange(k, k + len(logs), dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):  # past float64 the sum is inf
-            vals = np.power(ks, float(m)) * np.abs(logs)
-        vals[logs == 0.0] = 0.0  # an inf weight on a zero log adds nothing
-        total.add(vals)
+        total.add(_weighted_abs(k, logs, float(m)))
         if k + len(logs) - 1 in ends:
             sums.append(total.read())
     t_half, t_n, t_2n = sums

@@ -20,15 +20,16 @@ does not take as whitespace, a number, a name or an operator is an error at
 its offset.  One table, ``_ARITH``, says what each ``+ - * / ^`` node
 computes, for every evaluator and the lowering alike.
 
-Three evaluators and one lowering share the AST:
+Two evaluators and one lowering share the AST:
 
 * :func:`eval_value` / :func:`eval_value_array` work in the value domain;
 * :func:`eval_at` produces a :class:`GNum` using the top-level exp shortcut;
 * :func:`lower_log` turns the log of the term into one exact rational
   function of k where the structure allows (rational exponents under exp,
-  integer powers, products), for difference operators to cancel exactly;
-* :func:`eval_exact` / :func:`eval_log_exact`, per term with Fractions, are
-  the reference oracle for that lowering; no access path calls them.
+  integer powers, products), for difference operators to cancel exactly.
+
+The per-term Fraction oracle that the tests hold the lowering against lives
+in ``tests/exact_oracle.py``; no access path needs it.
 """
 
 from __future__ import annotations
@@ -55,13 +56,9 @@ __all__ = [
     "eval_log",
 ]
 
-# The per-term oracle declines (returns None) once integers grow past this.
-# 2^600 is far beyond anything a difference of catalog exponents produces
-# while still catching 2^(-k) style blowups.
-_EXACT_LIMIT = 1 << 600
-
-#: What each binary node computes, in every evaluator and the lowering; the
-#: exact ones take ``pow`` only with integer exponents, by rules of their own.
+#: What each binary node computes, in the evaluators and the lowering; the
+#: lowering takes ``pow`` only with a constant integer exponent, by a rule
+#: of its own.
 _ARITH = {
     "add": operator.add,
     "sub": operator.sub,
@@ -441,119 +438,18 @@ def eval_log_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational evaluation.  Returns None where no (cheaply bounded) exact
-# form exists; errors mirror the float path so behaviour never depends on
-# which evaluator ran first.
-
-
-def _guard(r: Exact | None) -> Exact | None:
-    if r is None:
-        return None
-    if isinstance(r, Fraction):
-        if r.denominator == 1:
-            r = int(r)
-        elif abs(r.numerator) > _EXACT_LIMIT or r.denominator > _EXACT_LIMIT:
-            return None
-    if isinstance(r, int) and abs(r) > _EXACT_LIMIT:
-        return None
-    return r
-
-
-def eval_exact(node: ExprAst, k: int) -> Exact | None:
-    """Exact rational value of the expression at k, or None."""
-    _check_k(k)
-    kind = node.kind
-    if kind == "const":
-        return node.exact
-    if kind == "k":
-        return int(k)
-    if kind in ("e", "exp", "ln"):
-        return None
-    a = eval_exact(node.children[0], k)
-    if a is None:
-        return None
-    b = eval_exact(node.children[1], k)
-    if b is None:
-        return None
-    if kind == "div":
-        if b == 0:
-            raise DomainError(f"division by zero at k={k}")
-        a = Fraction(a)
-    if kind != "pow":
-        return _guard(_ARITH[kind](a, b))
-    # pow: integer exponents only
-    if isinstance(b, Fraction):
-        return None
-    if a == 0 and b < 0:
-        raise DomainError(f"division by zero at k={k}")
-    base_bits = abs(a).bit_length() if isinstance(a, int) else max(
-        abs(a.numerator).bit_length(), a.denominator.bit_length()
-    )
-    if base_bits * abs(b) > 700:  # pre-guard: do not build huge powers
-        return None
-    if b >= 0:
-        return _guard(a**b)
-    return _guard(Fraction(a) ** b)
-
-
-def eval_log_exact(node: ExprAst, k: int) -> Exact | None:
-    """Exact rational log of the term value at k, or None.
-
-    Recognizes exp(rational), the constant e, integer/rational powers of
-    exactly-logged bases, products and quotients of them, and the constant 1.
-    """
-    kind = node.kind
-    if kind == "e":
-        return 1
-    if kind == "exp":
-        return eval_exact(node.children[0], k)
-    if kind == "const":
-        return 0 if node.exact == 1 else None
-    if kind == "mul":
-        la = eval_log_exact(node.children[0], k)
-        if la is None:
-            return None
-        lb = eval_log_exact(node.children[1], k)
-        if lb is None:
-            return None
-        return _guard(la + lb)
-    if kind == "div":
-        la = eval_log_exact(node.children[0], k)
-        if la is None:
-            return None
-        lb = eval_log_exact(node.children[1], k)
-        if lb is None:
-            return None
-        return _guard(la - lb)
-    if kind == "pow":
-        lb = eval_log_exact(node.children[0], k)
-        if lb is None:
-            return None
-        p = eval_exact(node.children[1], k)
-        if p is None:
-            return None
-        return _guard(p * lb if isinstance(p, int) else Fraction(p) * lb)
-    if kind in ("add", "sub"):
-        v = eval_exact(node, k)
-        return 0 if v == 1 else None
-    if kind == "k":
-        return 0 if k == 1 else None
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Lowering to one exact rational function of k: the structural twin of
-# eval_log_exact, decided once per expression instead of per term.
+# Lowering to one exact rational function of k, decided once per expression
+# instead of per term.
 
 
 def lower_log(node: ExprAst) -> RatFunc | None:
     """The exact log of the term as a rational function of k, or None.
 
-    :func:`eval_log_exact`'s rules on structure alone: ``e`` is 1, ``exp(V)``
-    is V, the constant 1 is 0, ``*`` and ``/`` add and subtract logs, ``b^p``
-    is V(p) times the log of b.  A value V is built from constants, k,
-    ``+ - * /`` and constant integer powers.  Anything else is None: ``ln``,
-    an inner ``exp``, ``e`` in a value, other powers, degrees past
+    Decided on structure alone: ``e`` is 1, ``exp(V)`` is V, the constant 1
+    is 0, ``*`` and ``/`` add and subtract logs, ``b^p`` is V(p) times the
+    log of b.  A value V is built from constants, k, ``+ - * /`` and
+    constant integer powers.  Anything else is None: ``ln``, an inner
+    ``exp``, ``e`` in a value, other powers, degrees past
     :data:`geomseq.ratfunc.MAX_DEGREE`.
     """
     try:

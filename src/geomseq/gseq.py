@@ -18,8 +18,8 @@ and read their windows from it too, because they subtract nearly equal
 exponents like k^4 at k ~ 1e4, where float64 rounding would swamp
 identities that must cancel to zero.  Other exact views keep float
 windows, whose last bits can differ from the points.
-:func:`~geomseq.exprdsl.eval_log_exact` is the per-term reference oracle;
-no access path calls it.
+The per-term Fraction reference for these exact logs is test code
+(``tests/exact_oracle.py``); no access path calls it.
 
 Boundedness, convergence and summability over an infinite index set are
 undecidable from finitely many terms, so every numeric claim is issued as a

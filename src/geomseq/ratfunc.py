@@ -1,14 +1,15 @@
 """Exact rational functions of k: an integer polynomial over a product of
 integer polynomial factors, never reduced, so poles stay where per-term
-Fraction arithmetic (:func:`geomseq.exprdsl.eval_exact`) puts them.  Sums
-take the lcm of the factor lists.  Values are one correctly rounded division
-of Python ints, equal to ``float(Fraction(n, d))``.  Index arrays use float64
-Horner when sum |a_i| k_max^i <= 2^53 for the numerator and the denominator
-product: every partial is then an integer of at most 2^53, so it is exact,
-and the one IEEE division rounds n/d correctly ((-n)/(-d) = n/d; an exact
-zero is made +0.0).  Past the bound they use Python ints.  A sequence holds
-its form as :attr:`geomseq.gseq.GSeq.exact_form`; :meth:`RatFunc.values` is
-the one array read, over any index array.
+Fraction arithmetic (the test oracle in ``tests/exact_oracle.py``) puts
+them.  Sums take the lcm of the factor lists.  Values are one correctly
+rounded division of Python ints, equal to ``float(Fraction(n, d))``.  Index
+arrays use float64 Horner when sum |a_i| k_max^i <= 2^53 for the numerator
+and the denominator product: every partial is then an integer of at most
+2^53, so it is exact, and the one IEEE division rounds n/d correctly
+((-n)/(-d) = n/d; an exact zero is made +0.0).  Past the bound they use
+Python ints.  A sequence holds its form as
+:attr:`geomseq.gseq.GSeq.exact_form`; :meth:`RatFunc.values` is the one
+array read, over any index array.
 """
 
 from __future__ import annotations

@@ -139,11 +139,22 @@ def _weighted_sups(diff: GSeq, weight_exp: float, N: int) -> tuple[list[float], 
     first term holding the sup through 2N, in one scan."""
     ends, top, sups = window_ends(N), RunningMax(), []
     for k, logs in diff.log_chunks(1, 2 * N, ends):
-        ks = np.arange(k, k + len(logs), dtype=np.float64)
-        top.add(k, np.power(ks, float(weight_exp)) * np.abs(logs))
+        top.add(k, _weighted_abs(k, logs, float(weight_exp)))
         if k + len(logs) - 1 in ends:
             sups.append(top.value)
     return sups, top.index
+
+
+def _weighted_abs(k: int, logs: np.ndarray, weight: float) -> np.ndarray:
+    """k^weight |logs|, ``logs[0]`` being term k.  Past float64 a term is
+    inf, and an inf weight on a zero log adds nothing."""
+    if weight == 0.0:
+        return np.abs(logs)
+    ks = np.arange(k, k + len(logs), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.power(ks, weight) * np.abs(logs)
+    vals[logs == 0.0] = 0.0
+    return vals
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,6 @@
 ways: every annotation must reproduce through the classifiers, and the
 table's own structure must stay sound."""
 
-import json
-
 import pytest
 
 from geomseq import VerdictKind, classify, dual_test
@@ -49,17 +47,6 @@ def test_entries_rebuild_fresh():
     b = catalog_entries()
     assert [e.name for e in a] == [e.name for e in b]
     assert a[0].seq is not b[0].seq
-
-
-def test_json_serialization(catalog):
-    for entry in catalog:
-        blob = json.dumps(entry.to_json_dict())
-        back = json.loads(blob)
-        assert back["name"] == entry.name
-        assert len(back["spaces"]) == len(entry.space_annotations)
-        assert len(back["duals"]) == len(entry.dual_annotations)
-        for row in back["spaces"]:
-            assert set(row) == {"space", "m", "member", "basis", "note"}
 
 
 class TestReproduction:

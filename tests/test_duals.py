@@ -206,7 +206,6 @@ class TestWindowSums:
             tail_sum = beta_dual_test(entry.seq, n).remainder_ok.probe_n
             assert tail_sum.hex() == math.fsum(np.abs(tails)).hex(), entry.name
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("kind", ["alpha", "beta", "gamma"])
     def test_sums_past_float64_diverge(self, kind):
         """A finite buffer whose sums leave float64 reads +inf, not an error."""

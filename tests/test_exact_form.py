@@ -1,5 +1,6 @@
 """The exact form of a sequence: one rational function per view, differenced
-symbolically, held against the per-term Fraction oracle (eval_log_exact)."""
+symbolically, held against the per-term Fraction oracle (eval_log_exact in
+tests/exact_oracle.py)."""
 
 import math
 from fractions import Fraction
@@ -16,9 +17,11 @@ from geomseq import (
     seq_from_expr,
     term,
 )
-from geomseq.exprdsl import eval_log_exact, lower_log, parse
+from geomseq.exprdsl import lower_log, parse
 from geomseq.gdiff import binomial_row
 from geomseq.ratfunc import MAX_DEGREE, RatFunc
+
+from exact_oracle import eval_log_exact
 
 _leaves = st.one_of(
     st.just("k"),

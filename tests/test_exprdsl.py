@@ -10,13 +10,13 @@ from geomseq import DomainError, NonPositiveValue, ParseError, parse, to_source
 from geomseq.exprdsl import (
     MAX_NESTING,
     eval_at,
-    eval_exact,
     eval_log,
     eval_log_array,
-    eval_log_exact,
     eval_value,
     eval_value_array,
 )
+
+from exact_oracle import eval_exact, eval_log_exact
 
 # fifty shapes covering every production, nesting and both shortcut forms
 CORPUS = [

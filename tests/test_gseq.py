@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -416,8 +417,9 @@ def _whole_alpha(a, m, N, tol):
 
 def _whole_weighted_sup(x, d, w, N, tol):
     logs = delta_binomial(x, d).log_values(1, 2 * N)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         vals = _weights(w, N) * np.abs(logs)
+    vals[logs == 0.0] = 0.0
     s = _stat_at_ends(np.max, vals, N)
     return GNum(s[1]), monotone_verdict(*s, N, tol)
 
@@ -568,7 +570,7 @@ class TestWindowScan:
 
     def test_an_infinite_weight_on_a_zero_log_adds_nothing(self):
         # k^60 passes float64 from k = 137 000 on: there the zero logs read
-        # 0 * inf, which the alpha sum must skip
+        # 0 * inf, which the alpha sum and weighted_sup must skip
         N = 5 * SUM_CHUNK
         logs = np.full(2 * N, 1e-300)
         logs[140_000:] = 0.0
@@ -577,9 +579,20 @@ class TestWindowScan:
         assert _json(report) == _json(_whole_alpha(x, 60, N, 1e-6))
         assert report.verdict.probe_2n == math.inf  # k^60 * 1e-300 passes float64 first
         logs[100_000:] = 0.0
-        report = alpha_dual_test(seq_from_logs(logs), 60, N)
-        assert _json(report) == _json(_whole_alpha(seq_from_logs(logs), 60, N, 1e-6))
+        x = seq_from_logs(logs)
+        report = alpha_dual_test(x, 60, N)
+        assert _json(report) == _json(_whole_alpha(x, 60, N, 1e-6))
         assert math.isfinite(report.verdict.probe_2n)
+        streamed = weighted_sup(x, 0, 60.0, N, 1e-6)
+        assert _json(streamed) == _json(_whole_weighted_sup(x, 0, 60.0, N, 1e-6))
+        assert math.isfinite(streamed[1].probe_2n)
+
+    def test_a_weighted_log_past_float64_reads_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, verdict = weighted_sup(seq_from_logs(np.full(20_000, 1e308)), 0, 0.5, 10_000)
+        assert value.log_value == math.inf
+        assert verdict.probe_n == verdict.probe_2n == math.inf
 
     def test_pieces_cover_the_range_and_end_at_each_stop(self):
         x = seq_from_logs(np.arange(1.0, 3 * SUM_CHUNK + 8))
