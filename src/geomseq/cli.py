@@ -335,7 +335,7 @@ def _sequence_command(args: argparse.Namespace, seq: GSeq) -> tuple[dict, int]:
     if args.command == "classify":
         name, report = "space", classify(seq, args.space, args.m, args.N, args.tol)
     else:
-        name, report = "kind", dual_test(seq, args.kind.replace("-", "_"), args.m, args.N, args.tol)
+        name, report = "kind", dual_test(seq, args.kind, args.m, args.N, args.tol)
     return _verdict_envelope(name, report, args), _exit_for(report.verdict.kind.value)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,8 +46,9 @@ from .gseq import (
     monotone_verdict,
     series_verdict,
     window_ends,
+    window_scan,
 )
-from .spaces import _weighted_abs, weighted_sup
+from .spaces import weighted_sup
 
 __all__ = [
     "DUAL_KINDS",
@@ -84,12 +85,7 @@ def alpha_dual_test(
     """Summability of k^m |ln a_k| by the three-window protocol."""
     m = check_order(m)
     check_window(N, tol)
-    ends, total, sums = window_ends(N), ExactSum(), []
-    for k, logs in a.log_chunks(1, 2 * N, ends):
-        total.add(_weighted_abs(k, logs, float(m)))
-        if k + len(logs) - 1 in ends:
-            sums.append(total.read())
-    t_half, t_n, t_2n = sums
+    t_half, t_n, t_2n = window_scan(a, 1, window_ends(N), ExactSum(), weight=float(m))
     verdict = monotone_verdict(t_half, t_n, t_2n, N, tol)
     return DualReport("alpha", m, verdict, GNum(t_n))
 
@@ -104,20 +100,16 @@ def alpha_alpha_dual_test(
 
 
 class _PartialSums:
-    """The partial sums S_k of k ln a_k through 2N, folded piece by piece:
-    S_N and S_2N, sup |S| through N/2, N and 2N, and the range of S over
-    [N/2, N] and over [N, 2N].  Each piece's cumsum starts from the carried
-    S, so S is summed term after term as one cumsum over [1, 2N] sums it.
-    Once S leaves float64 it holds that +-inf (or nan) rather than forming
-    inf - inf."""
+    """The partial sums S_k of k ln a_k, folded piece by piece: :meth:`read`
+    gives S and sup |S| through the last term added, and ``spans`` holds
+    the range of S over [N/2, N] and over [N, 2N].  Each piece's cumsum
+    starts from the carried S, so S is summed term after term as one cumsum
+    over [1, 2N] sums it.  Once S leaves float64 it holds that +-inf (or
+    nan) rather than forming inf - inf."""
 
     def __init__(self, N: int):
-        self.N = N
-        self.ends = window_ends(N)
         self.carry = -0.0  # -0.0 + x is x: the first partial is the first term
         self.top = RunningMax()
-        self.sups: list[float] = []
-        self.at: dict[int, float] = {}
         self.spans = {(N // 2, N): [math.inf, -math.inf], (N, 2 * N): [math.inf, -math.inf]}
 
     def add(self, k: int, logs: np.ndarray) -> None:
@@ -139,19 +131,9 @@ class _PartialSums:
             if len(part):
                 span[0] = np.minimum(span[0], part.min())
                 span[1] = np.maximum(span[1], part.max())
-        end = k + len(logs) - 1
-        if end in self.ends:
-            self.sups.append(self.top.value)
-            self.at[end] = self.carry
 
-    def series(self, tol: float) -> Verdict:
-        """:func:`series_verdict` of S: convergent iff Cauchy-flat."""
-        N = self.N
-        return series_verdict(self.at[N], self.at[2 * N], self.sups[-1], *self.spans.values(), N, tol)
-
-    def bounded(self, tol: float) -> Verdict:
-        """:func:`monotone_verdict` of sup |S|: bounded iff it stabilizes."""
-        return monotone_verdict(*self.sups, self.N, tol)
+    def read(self) -> tuple[float, float]:
+        return self.carry, self.top.read()
 
 
 def _tail_sums(a: GSeq, ends: tuple[int, ...]) -> list[float]:
@@ -172,26 +154,23 @@ def _tail_sums(a: GSeq, ends: tuple[int, ...]) -> list[float]:
                     r[0] = carry[e] + r[0]
                     np.cumsum(r, out=r)
                 carry[e] = float(r[-1])
-                sums[e].add(np.abs(r, out=r))
+                sums[e].add(k, np.abs(r, out=r))
     return [sums[e].read() for e in ends]
 
 
-def _first_order_test(
-    kind: str,
-    label: str,
-    condition: Callable[[_PartialSums, float], Verdict],
-    a: GSeq,
-    N: int,
-    tol: float,
-) -> DualReport:
-    """A condition on the partial sums of k ln a_k, joined with the
-    summability of |ln R_k| truncated at the same window (m = 1)."""
+def _first_order_test(kind: str, a: GSeq, N: int, tol: float) -> DualReport:
+    """A condition on the partial sums S of k ln a_k, joined with the
+    summability of |ln R_k| truncated at the same window (m = 1): for beta
+    S converges (is Cauchy-flat), for gamma sup |S| stabilizes."""
     check_window(N, tol)
-    partials = _PartialSums(N)
-    for k, logs in a.log_chunks(1, 2 * N, partials.ends):
-        partials.add(k, logs)
-    cond = condition(partials, tol)
-    cond_tails = monotone_verdict(*_tail_sums(a, partials.ends), N, tol)
+    ends, partials = window_ends(N), _PartialSums(N)
+    (_, top_half), (s_n, top_n), (s_2n, top_2n) = window_scan(a, 1, ends, partials)
+    if kind == "beta":
+        label = "series"
+        cond = series_verdict(s_n, s_2n, top_2n, *partials.spans.values(), N, tol)
+    else:
+        label, cond = "partial sups", monotone_verdict(top_half, top_n, top_2n, N, tol)
+    cond_tails = monotone_verdict(*_tail_sums(a, ends), N, tol)
     joint = conjunction(cond, cond_tails)
     overall = Verdict(
         joint,
@@ -201,23 +180,21 @@ def _first_order_test(
         cond.probe_2n,
         f"{label} {cond.kind.value}; tails {cond_tails.kind.value}",
     )
-    return DualReport(
-        kind, 1, overall, GNum(partials.at[N]), remainder_ok=cond_tails
-    )
+    return DualReport(kind, 1, overall, GNum(s_n), remainder_ok=cond_tails)
 
 
 def beta_dual_test(
     a: GSeq, N: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL
 ) -> DualReport:
     """Signed convergence of sum k ln a_k plus the tail condition (m = 1)."""
-    return _first_order_test("beta", "series", _PartialSums.series, a, N, tol)
+    return _first_order_test("beta", a, N, tol)
 
 
 def gamma_dual_test(
     a: GSeq, N: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL
 ) -> DualReport:
     """Bounded partial sums of k ln a_k plus the tail condition (m = 1)."""
-    return _first_order_test("gamma", "partial sups", _PartialSums.bounded, a, N, tol)
+    return _first_order_test("gamma", a, N, tol)
 
 
 def dual_test(
@@ -261,6 +238,8 @@ def counterexample_sequence(
     m = check_order(m)
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
+    if not isinstance(search_window, int) or search_window < 1:
+        raise ValueError(f"search_window must be a positive integer, got {search_window!r}")
     limit = search_window
     if a.length is not None:
         limit = min(limit, a.length)

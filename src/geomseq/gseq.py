@@ -29,16 +29,18 @@ tol), geometric decay of increments (ratio <= 0.8), persistent growth
 (ratio >= 0.95 or log magnitude beyond 1e6), or give up and say so.  The
 thresholds are package constants, shared by every caller.
 
-Every verdict reads its terms in one scan, :meth:`GSeq.log_chunks`, which
-yields them in pieces of :data:`SUM_CHUNK` that also end at N/2, N and 2N,
-so memory does not grow with N.  Each caller folds the pieces into a few
-small accumulators and reads them at the three ends: :class:`ExactSum`
-carries the exact running sum as one Python int and rounds it once, to the
-value ``math.fsum`` gives for that prefix; :class:`RunningMax` keeps the
-sup and its first term, the witness; a float running sum starts each
-piece's cumsum from the carried total (``x[0] = carry + x[0]``), so it adds
-term after term exactly as one cumsum over the whole window would.  The
-beta and gamma tails R_k = sum of the logs of terms k+1 .. e are summed from
+Every verdict reads its terms through one engine, :func:`window_scan`, in
+the pieces of :meth:`GSeq.log_chunks`: at most :data:`SUM_CHUNK` terms,
+ending also at N/2, N and 2N, so memory does not grow with N.  A piece that
+fails to read raises its own error and ends the scan.  The engine folds
+each piece into a small accumulator by ``add(k, vals)``, ``vals[0]`` being
+term k, and takes its ``read()`` at each end: :class:`ExactSum` carries the
+exact running sum as one Python int and rounds it once, to the value
+``math.fsum`` gives for that prefix; :class:`RunningMax` keeps the sup and
+its first term, the witness; a float running sum starts each piece's
+cumsum from the carried total (``x[0] = carry + x[0]``), so it adds term
+after term exactly as one cumsum over the whole window would.  The beta
+and gamma tails R_k = sum of the logs of terms k+1 .. e are summed from
 each end e down; one backward scan from 2N, carrying one float per end,
 gives them bit for bit as the reversed cumsum of the logs through e.
 """
@@ -56,7 +58,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import Report, json_key
-from .errors import DomainError, GeometricError, IndexOutOfRange, NonPositiveValue
+from .errors import DomainError, IndexOutOfRange, NonPositiveValue
 from .garith import GNum
 from . import exprdsl
 from .exprdsl import ExprAst
@@ -152,7 +154,6 @@ def monotone_verdict(
     t_2n: float,
     window: int,
     tol: float,
-    note: str = "",
 ) -> Verdict:
     """Classify a nondecreasing statistic from its three window values."""
     d1 = t_n - t_half
@@ -170,7 +171,7 @@ def monotone_verdict(
     else:
         kind, why = VerdictKind.INCONCLUSIVE, f"increment ratio {ratio:.3f} in the undecided band"
     estimate = GNum(float(t_2n)) if kind is VerdictKind.FINITE else None
-    return Verdict(kind, estimate, window, t_n, t_2n, note or why)
+    return Verdict(kind, estimate, window, t_n, t_2n, why)
 
 
 def signed_series_verdict(
@@ -282,7 +283,7 @@ class ExactSum:
         self.total = 0
         self.special = np.empty(0)  # the distinct inf and nan terms added
 
-    def add(self, vals: np.ndarray) -> None:
+    def add(self, k: int, vals: np.ndarray) -> None:  # a sum needs no index k
         for start in range(0, len(vals), SUM_CHUNK):
             chunk = vals[start : start + SUM_CHUNK]
             finite = np.isfinite(chunk)
@@ -306,7 +307,7 @@ def exact_prefix_sums(vals: np.ndarray, ends: Iterable[int]) -> list[float]:
     acc, start, sums = ExactSum(), 0, []
     for end in ends:
         end = min(int(end), len(vals))
-        acc.add(vals[start:end])
+        acc.add(start, vals[start:end])
         start = max(start, end)
         sums.append(acc.read())
     return sums
@@ -329,11 +330,41 @@ class RunningMax:
         if self.index is None or not vals[i] <= self.value:  # larger, or nan
             self.value, self.index = float(vals[i]), k + i
 
+    def read(self) -> float:
+        return self.value
+
 
 def window_ends(N: int, first: int = 1) -> tuple[int, int, int]:
     """The last terms of the three probe windows of a scan from ``first``:
     N/2 (or ``first`` when N/2 lies before it), N and 2N."""
     return max(first, N // 2), N, 2 * N
+
+
+def _weighted_abs(k: int, logs: np.ndarray, weight: float) -> np.ndarray:
+    """k^weight |logs|, ``logs[0]`` being term k.  Past float64 a term is
+    inf, and an inf weight on a zero log adds nothing."""
+    if weight == 0.0:
+        return np.abs(logs)
+    ks = np.arange(k, k + len(logs), dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.power(ks, weight) * np.abs(logs)
+    vals[logs == 0.0] = 0.0
+    return vals
+
+
+def window_scan(
+    x: GSeq, first: int, ends: tuple[int, ...], fold, weight: Optional[float] = None
+) -> list:
+    """The window engine: feed the :meth:`GSeq.log_chunks` pieces of terms
+    ``first`` .. ``ends[-1]`` to ``fold.add(k, vals)``, ``vals[0]`` being
+    term k, and return ``fold.read()`` at each of the ascending ``ends``.
+    ``vals`` are the logs or, given a weight w, k^w times their magnitudes."""
+    reads = []
+    for k, logs in x.log_chunks(first, ends[-1], ends):
+        fold.add(k, logs if weight is None else _weighted_abs(k, logs, weight))
+        if k + len(logs) - 1 in ends:
+            reads.append(fold.read())
+    return reads
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +490,9 @@ class GSeq:
         A piece holds at most :data:`SUM_CHUNK` terms and ends at every stop
         in the range, so a fold over the pieces can be read there.  Pieces
         come in ascending order, or with ``reverse`` the same pieces from
-        ``last`` down.  The whole range is checked before any term is read,
-        and where a piece fails the range is read whole, so a scan raises
-        what ``log_values(first, last - first + 1)`` raises.
+        ``last`` down.  The whole range is bounds-checked before any term is
+        read; a piece that fails to read raises its own
+        :class:`~geomseq.errors.GeometricError`, so the scan stops there.
         """
         first = self._bounded(first)
         if last < first:
@@ -472,12 +503,7 @@ class GSeq:
         for a, b in reversed(segments) if reverse else segments:
             starts = range(a, b, SUM_CHUNK)
             for lo in reversed(starts) if reverse else starts:
-                try:
-                    logs = self.log_values(lo, min(SUM_CHUNK, b - lo))
-                except GeometricError:
-                    self.log_values(first, last - first + 1)
-                    raise
-                yield lo, logs
+                yield lo, self.log_values(lo, min(SUM_CHUNK, b - lo))
 
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
         """The one float read: logs of terms ``starts[i] + j`` for
@@ -644,25 +670,19 @@ def gsum_partial(x: GSeq, n: int) -> GNum:
         raise ValueError(f"partial sums want a nonnegative term count, got {n!r}")
     if n == 0:
         return GNum(0.0)
-    total = ExactSum()
-    for _, logs in x.log_chunks(1, n):
-        total.add(logs)
-    return GNum(total.read())
+    return GNum(window_scan(x, 1, (n,), ExactSum())[0])
 
 
 def sup_gabs(x: GSeq, N: int) -> GNum:
     """Supremum of the geometric absolute values of the first N terms."""
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"sup window must be a positive integer, got {N!r}")
-    top = RunningMax()
-    for k, logs in x.log_chunks(1, N):
-        top.add(k, np.abs(logs))
-    return GNum(top.value)
+    return GNum(window_scan(x, 1, (N,), RunningMax(), weight=0.0)[0])
 
 
-def _probe_ks(lo: int, hi: int, points: int = PROBE_POINTS) -> np.ndarray:
+def _probe_ks(lo: int, hi: int) -> np.ndarray:
     lo = max(1, lo)
-    return np.unique(np.linspace(lo, hi, points).round().astype(np.int64))
+    return np.unique(np.linspace(lo, hi, PROBE_POINTS).round().astype(np.int64))
 
 
 def _limit_probe_detail(
@@ -722,12 +742,7 @@ def remainder(
         raise ValueError(f"window N must exceed n + 1, got N={N!r}, n={n!r}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    ends, total, sums = window_ends(N, n + 1), ExactSum(), []
-    for k, logs in a.log_chunks(n + 1, 2 * N, ends):
-        total.add(logs)
-        if k + len(logs) - 1 in ends:
-            sums.append(total.read())
-    t_half, t_n, t_2n = sums
+    t_half, t_n, t_2n = window_scan(a, n + 1, window_ends(N, n + 1), ExactSum())
     tail = GNum(t_n)
     d2 = abs(t_2n - t_n)
     d1 = abs(t_n - t_half)

@@ -21,6 +21,7 @@ head-flattening map sometimes written as a separate "s" transform is just
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -43,6 +44,7 @@ from .gseq import (
     seq_from_expr,
     seq_odot,
     window_ends,
+    window_scan,
 )
 
 __all__ = [
@@ -95,8 +97,9 @@ def classify(
     diff = delta_binomial(x, m)
 
     if space == "linf":
-        sups, witness = _weighted_sups(diff, 0.0, N)
-        verdict = monotone_verdict(*sups, N, tol)
+        top = RunningMax()
+        sups = window_scan(diff, 1, window_ends(N), top, weight=0.0)
+        verdict, witness = monotone_verdict(*sups, N, tol), top.index
     else:
         verdict, witness = _limit_probe_detail(diff, N, tol)
         # c0: a geometric limit must additionally be the geometric zero.
@@ -126,35 +129,17 @@ def weighted_sup(
     """Sup over k <= N of e^(k^weight_exp * |ln (delta^d x)_k|), with verdict.
 
     The returned number is the sup at window N; the verdict judges its
-    stability through 2N by the shared protocol.
+    stability through 2N by the shared protocol.  The weight may be +-inf
+    but not NaN.
     """
     diff_order = check_order(diff_order)
     check_window(N, tol)
-    (s_half, s_n, s_2n), _ = _weighted_sups(delta_binomial(x, diff_order), weight_exp, N)
+    weight_exp = float(weight_exp)
+    if math.isnan(weight_exp):
+        raise ValueError("weight_exp must be a number or +-inf, got nan")
+    diff = delta_binomial(x, diff_order)
+    s_half, s_n, s_2n = window_scan(diff, 1, window_ends(N), RunningMax(), weight=weight_exp)
     return GNum(s_n), monotone_verdict(s_half, s_n, s_2n, N, tol)
-
-
-def _weighted_sups(diff: GSeq, weight_exp: float, N: int) -> tuple[list[float], Optional[int]]:
-    """The sup of k^weight_exp |ln diff_k| through N/2, N and 2N, and the
-    first term holding the sup through 2N, in one scan."""
-    ends, top, sups = window_ends(N), RunningMax(), []
-    for k, logs in diff.log_chunks(1, 2 * N, ends):
-        top.add(k, _weighted_abs(k, logs, float(weight_exp)))
-        if k + len(logs) - 1 in ends:
-            sups.append(top.value)
-    return sups, top.index
-
-
-def _weighted_abs(k: int, logs: np.ndarray, weight: float) -> np.ndarray:
-    """k^weight |logs|, ``logs[0]`` being term k.  Past float64 a term is
-    inf, and an inf weight on a zero log adds nothing."""
-    if weight == 0.0:
-        return np.abs(logs)
-    ks = np.arange(k, k + len(logs), dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.power(ks, weight) * np.abs(logs)
-    vals[logs == 0.0] = 0.0
-    return vals
 
 
 @dataclass(frozen=True)
@@ -197,24 +182,32 @@ def lemma_equivalence_check(
     check_window(N, tol)
     # Term k pairs with term k+1, so a scan read through term e + 1 has
     # every pair of the window ending at e.
-    ends = window_ends(N)
-    tops = [RunningMax() for _ in range(3)]
-    sups = []
-    before = np.empty(0)  # the last term of the previous piece
-    for k, logs in x.log_chunks(1, 2 * N + 1, [e + 1 for e in ends]):
-        pair = np.concatenate([before, logs])
-        head, tail = pair[:-1], pair[1:]
-        k0 = k - len(before)
-        ks = np.arange(k0, k0 + len(head), dtype=np.float64)
-        with np.errstate(over="ignore"):  # a difference past float64 is unbounded
-            tops[0].add(k0, np.abs(head - tail))
-            tops[1].add(k0, np.abs(head) / ks)
-            tops[2].add(k0, np.abs(head - (ks / (ks + 1.0)) * tail))
-        before = logs[-1:]
-        if k + len(logs) - 2 in ends:
-            sups.append([top.value for top in tops])
+    sups = window_scan(x, 1, tuple(e + 1 for e in window_ends(N)), _PairSups())
     verdicts = [monotone_verdict(*part, N, tol) for part in zip(*sups)]
     return LemmaEquivalenceReport(*verdicts, window=N)
+
+
+class _PairSups:
+    """The sups of the lemma's three parts, term k paired with term k+1:
+    :meth:`read` gives them over every pair whose second term was added."""
+
+    def __init__(self):
+        self.tops = [RunningMax() for _ in range(3)]
+        self.before = np.empty(0)  # the last term of the previous piece
+
+    def add(self, k: int, logs: np.ndarray) -> None:
+        pair = np.concatenate([self.before, logs])
+        head, tail = pair[:-1], pair[1:]
+        k0 = k - len(self.before)
+        ks = np.arange(k0, k0 + len(head), dtype=np.float64)
+        with np.errstate(over="ignore"):  # a difference past float64 is unbounded
+            self.tops[0].add(k0, np.abs(head - tail))
+            self.tops[1].add(k0, np.abs(head) / ks)
+            self.tops[2].add(k0, np.abs(head - (ks / (ks + 1.0)) * tail))
+        self.before = logs[-1:]
+
+    def read(self) -> list[float]:
+        return [top.read() for top in self.tops]
 
 
 @dataclass(frozen=True)

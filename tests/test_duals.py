@@ -155,6 +155,11 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             counterexample_sequence(seq_from_expr("exp(k^2)"), 1, 0)
 
+    @pytest.mark.parametrize("window", [0, -5, 1e3, "1000"])
+    def test_search_window_validation(self, window):
+        with pytest.raises(ValueError, match="search_window"):
+            counterexample_sequence(seq_from_expr("exp(k^2)"), 1, 3, search_window=window)
+
 
 class TestNonPerfectness:
     @pytest.mark.parametrize("m", [1, 2, 3])

@@ -86,6 +86,13 @@ class TestWeightedSup:
         _, verdict = weighted_sup(seq_from_expr("exp(k^2)"), 1, -1.0, N)
         assert verdict.kind is VerdictKind.FINITE
 
+    def test_a_nan_weight_is_rejected_and_infinite_weights_are_not(self):
+        x = seq_from_expr("exp(1/k)")
+        with pytest.raises(ValueError, match="weight_exp"):
+            weighted_sup(x, 0, float("nan"), 1000)
+        assert weighted_sup(x, 0, float("inf"), 1000)[1].probe_2n == float("inf")
+        assert weighted_sup(x, 0, float("-inf"), 1000)[1].probe_2n == 1.0
+
 
 class TestLemmaEquivalence:
     def test_linear_witness(self):

@@ -185,10 +185,17 @@ def switch_records():
 
 def scan_records():
     """The windowed reports at :data:`SCAN_WINDOWS` on every catalog entry,
-    and float-duals' four N = 10^6 dual tests on the power buffers that
-    its seeds 1 and 2 draw."""
+    its single-end scans (``sup_gabs``, ``delta_norm`` at m = 0..2) at N and
+    at :data:`SCAN_WINDOWS`, and float-duals' four N = 10^6 dual tests on
+    the power buffers that its seeds 1 and 2 draw."""
     for entry in catalog.catalog_entries():
         x, name = entry.seq, entry.name
+        for n in (N, *SCAN_WINDOWS):
+            yield report_line(f"sup_gabs[{name}|{n}]", lambda: gseq.sup_gabs(x, n).log_value)
+            for m in range(3):
+                yield report_line(
+                    f"delta_norm[{name}|{m}|{n}]", lambda: gdiff.delta_norm(x, m, n).log_value
+                )
         for n in SCAN_WINDOWS:
             reports = {
                 "alpha|2": lambda: duals.alpha_dual_test(x, 2, n).to_dict(),
