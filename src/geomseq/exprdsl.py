@@ -13,7 +13,10 @@ There are no negative literals; write ``0-k`` or parenthesize.  Expressions
 denote ordinary real arithmetic.  A sequence whose source reads ``exp(f(k))``
 is evaluated through its exponent: the log of the term is f(k) computed
 directly, so e^(k^4) never exists as a float value.  Inner ``exp`` nodes
-evaluate numerically and may overflow to a :class:`DomainError`.
+evaluate numerically and may overflow to a :class:`DomainError`.  A float
+power b^p with b > 0 and p·log2 b < -1080 is +0.0, what Python's ``**``
+gives, without computing it: a power under 2^-1075 rounds to zero, and the
+five-binade margin covers the rounding of p·log2 b and of ``pow``.
 
 One ASCII-only regular expression scans the source; any character it
 does not take as whitespace, a number, a name or an operator is an error at
@@ -330,15 +333,14 @@ def eval_value(node: ExprAst, k: int) -> float:
         a = eval_value(node.children[0], k)
         b = eval_value(node.children[1], k)
         try:
-            return _ARITH[kind](a, b)
+            out = _ARITH[kind](a, b)
         except ZeroDivisionError:
             raise DomainError(f"division by zero at k={k}")
         except OverflowError:
             raise DomainError(f"overflow evaluating {to_source(node)!r} at k={k}")
-        except ValueError:
-            raise DomainError(
-                f"invalid power in {to_source(node)!r} at k={k}"
-            )
+        if isinstance(out, complex):  # a negative base to a non-integer power
+            raise DomainError(f"invalid power in {to_source(node)!r} at k={k}")
+        return out
     if kind == "exp":
         a = eval_value(node.children[0], k)
         try:
@@ -376,6 +378,10 @@ def eval_log(node: ExprAst, k: int) -> float:
 # Value-domain evaluation (vectorized)
 
 
+#: The p·log2 b below which a power of a positive base reads as +0.0.
+_UNDERFLOW_LOG2 = -1080.0
+
+
 def eval_value_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
     """Vectorized :func:`eval_value` over an integer index array."""
     ks = np.asarray(ks)
@@ -409,7 +415,7 @@ def _value_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
         b = _value_array(node.children[1], ks)
         if kind == "div" and np.any(b == 0.0):
             raise DomainError(f"division by zero at k={_first(ks, b == 0.0)}")
-        return _ARITH[kind](a, b)
+        return _power(node, a, b, ks) if kind == "pow" else _ARITH[kind](a, b)
     if kind == "exp":
         out = np.exp(_value_array(node.children[0], ks))
         if not np.all(np.isfinite(out)):
@@ -421,6 +427,33 @@ def _value_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
             raise DomainError(f"ln of non-positive value at k={_first(ks, a <= 0.0)}")
         return np.log(a)
     raise DomainError(f"unknown node kind {kind!r}")
+
+
+def _power(node: ExprAst, a: np.ndarray, b: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """``a ^ b`` term by term as :func:`eval_value` reads it, filling +0.0
+    where p·log2 b < :data:`_UNDERFLOW_LOG2` (underflowing ``np.power`` takes
+    libm's slow path).  p·log2 b is bilinear, so its corners over the ranges
+    of a and b (the least base alone for p >= 0) rule most pieces out first.
+    """
+    if not a.size:
+        return np.power(a, b)
+    exponent = node.children[1]
+    ps = (exponent.value,) if exponent.kind == "const" else (float(b.min()), float(b.max()))
+    lo = float(a.min())
+    if lo > 0.0:
+        bases = (lo,) if min(ps) >= 0.0 else (lo, float(a.max()))
+        if all(math.log2(u) * p >= _UNDERFLOW_LOG2 for u in bases for p in ps):
+            return np.power(a, b)
+    fill = (a > 0.0) & (b * np.log2(a) < _UNDERFLOW_LOG2)
+    out = np.power(a, b, out=np.zeros(a.shape), where=~fill)
+    if not lo > 0.0:  # a zero or negative base (or NaN) may fault
+        zero = (a == 0.0) & (b < 0.0) & np.isfinite(b)  # 0.0 ** -inf is inf
+        bad = zero | (np.isnan(out) & ~np.isnan(a) & ~np.isnan(b))
+        if bad.any():
+            i = int(np.argmax(bad))
+            what = "division by zero" if zero[i] else f"invalid power in {to_source(node)!r}"
+            raise DomainError(f"{what} at k={int(ks[i])}")
+    return out
 
 
 def eval_log_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from geomseq import DomainError, NonPositiveValue, ParseError, parse, to_source
+from geomseq import DomainError, NonPositiveValue, ParseError, parse, seq_from_expr, to_source
 from geomseq.exprdsl import (
     MAX_NESTING,
     eval_at,
@@ -263,6 +264,112 @@ class TestTopLevelExpShortcut:
     def test_nonpositive_value_rejected(self):
         with pytest.raises(NonPositiveValue):
             eval_at(parse("k-2"), 1)
+
+
+class TestPowerFaults:
+    """A power that has no real value raises at its own node, with one message
+    from the scalar and the array path."""
+
+    @pytest.mark.parametrize(
+        "src, k, message",
+        [
+            ("(0-2)^0.5", 1, "invalid power in '(0-2)^0.5' at k=1"),
+            ("exp((0-2)^0.5)", 1, "invalid power in '(0-2)^0.5' at k=1"),
+            ("(0-2)^(1/k)", 2, "invalid power in '(0-2)^(1/k)' at k=2"),
+            ("0^(0-k)", 1, "division by zero at k=1"),
+        ],
+    )
+    def test_scalar_and_array_paths_raise_alike(self, src, k, message):
+        with pytest.raises(DomainError) as scalar:
+            eval_at(parse(src), k)
+        with pytest.raises(DomainError) as array:
+            seq_from_expr(src).log_points(np.arange(1, 4))
+        assert str(scalar.value) == str(array.value) == message
+
+    def test_scalar_power_is_never_complex(self):
+        with pytest.raises(DomainError, match="invalid power"):
+            eval_value(parse("(0-8)^(1/3)"), 1)
+        assert eval_value(parse("(0-8)^3"), 1) == -512.0
+
+
+def _lit(x: float) -> str:
+    """DSL source that evaluates to the float ``x``, sign of zero included."""
+    if x == 0.0 and math.copysign(1.0, x) < 0:
+        return "(0*(0-1))"
+    return repr(x) if x >= 0 else f"(0-{-x!r})"
+
+
+def _edge_power(u: float, t: float) -> str:
+    """2^u raised to p*k, with p·log2 of the base equal to t (up to rounding)."""
+    base = 2.0**u
+    return f"{_lit(base)}^({_lit(t / math.log2(base))}*k)"
+
+
+#: Positive bases whose power at k = 1 has p·log2 b in [-1081, -1074], away
+#: from the tie at -1075: the result rounds to zero or to 2^-1074 whichever
+#: way the power is taken, and the terms k >= 2 lie deep in the fill.
+_EDGE = st.builds(
+    _edge_power,
+    st.floats(-1000.0, 1000.0).filter(lambda u: abs(u) > 1e-3),
+    st.one_of(st.floats(-1075.0, -1074.0), st.floats(-1081.0, -1075.0)).filter(
+        lambda t: abs(t + 1075.0) > 1e-6
+    ),
+)
+
+#: Bases in (0, 1) with large positive exponents, all inside the fill.
+_SMALL_BASE = st.tuples(
+    st.floats(1e-300, 1.0, exclude_max=True), st.floats(1.0, 1e300)
+).filter(lambda bp: bp[1] * math.log2(bp[0]) < -1081.0).map(
+    lambda bp: f"{_lit(bp[0])}^({_lit(bp[1])}*k)"
+)
+
+def _shifted_power(base: float, e: float, s: float) -> str:
+    """base^(e + s*k); every term's exponent is exact in float64."""
+    return f"{_lit(base)}^({_lit(e)}+{_lit(s)}*k)"
+
+
+_SIGNS = st.sampled_from([1.0, -1.0])
+
+#: ±2^j or ±3 to integer powers, exact or past the float range (2^-1075 is
+#: the tie that rounds to zero), and 0 or -0 to integer and real powers.
+_EXACT = st.one_of(
+    st.builds(
+        _shifted_power,
+        st.sampled_from([s * 2.0**j for j in (-3, -2, -1, 1, 2, 3) for s in (1, -1)]),
+        st.integers(-1100, 1100).map(float),
+        _SIGNS,
+    ),
+    st.builds(_shifted_power, st.sampled_from([3.0, -3.0]), st.integers(8, 25).map(float), _SIGNS),
+    st.builds(
+        _shifted_power,
+        st.sampled_from([0.0, -0.0]),
+        st.one_of(st.integers(-6, 6).map(float), st.floats(-6.0, 6.0)),
+        _SIGNS,
+    ),
+)
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+@given(_EDGE | _SMALL_BASE | _EXACT)
+@example("2.0^((0-1074.5)*k)")  # 2^-1074 at k = 1, then the fill
+@example("0.5^(1070.0+1.0*k)")  # the tie 2^-1075 at k = 5
+def test_array_power_is_the_scalar_power_bit_for_bit(src):
+    """The underflow fill and exact powers: ``np.power`` and Python's ``**``
+    differ in the last bit on other powers, so those are not drawn."""
+    ast, ks = parse(src), np.arange(1, 9)
+    want = []
+    for k in ks:
+        try:
+            want.append(eval_value(ast, int(k)))
+        except DomainError as exc:
+            with pytest.raises(DomainError) as err:
+                eval_value_array(ast, ks)
+            assert str(err.value) == str(exc)
+            return
+    assert _bits(eval_value_array(ast, ks)) == _bits(want)
 
 
 class TestExactEvaluation:

@@ -80,7 +80,19 @@ CLI_COMMANDS = [
     ["eval", "--seq", "1.e3"],
     ["diff", "--seq", "exp(k)", "--m", "61"],
     ["eval", "--seq", "bad.txt"],
+    # a float power across the underflow fill: 3^-k rounds to zero from k = 679
+    ["eval", "--seq", "exp(3^(0-k))", "--range", "660..700"],
 ]
+
+#: ``log_values`` windows ``(start, count)`` across the underflow fill of
+#: float powers, where p·log2 b passes -1074..-1080: at k = 1074..1080 for
+#: 2^-k and 0.5^k, k = 143..148 for k^-150 and k = 41..43 for (1/k)^200.
+FILL_WINDOWS = {
+    "exp(2^(0-k))": ((1050, 60), (1, 3000)),
+    "exp(0.5^k)": ((1060, 30), (1, 3000)),
+    "exp(k^(0-150))": ((130, 30), (1, 3000)),
+    "exp((1/k)^200)": ((35, 15), (1, 3000)),
+}
 
 #: Indices of the point-read records, by label.
 POINT_KS = {"1..300": range(1, 301), "1000": [1000], "5000": [5000], "77777": [77_777]}
@@ -183,6 +195,16 @@ def switch_records():
         )
 
 
+def fill_records():
+    """Float windows on both sides of the underflow fill of float powers."""
+    for src, windows in FILL_WINDOWS.items():
+        x = gseq.seq_from_expr(src)
+        for start, count in windows:
+            yield report_line(
+                f"log_values[{src}|{start}|{count}]", lambda: x.log_values(start, count).tolist()
+            )
+
+
 def scan_records():
     """The windowed reports at :data:`SCAN_WINDOWS` on every catalog entry,
     its single-end scans (``sup_gabs``, ``delta_norm`` at m = 0..2) at N and
@@ -249,6 +271,8 @@ def main() -> None:
     for line in point_records():
         print(line, flush=True)
     for line in switch_records():
+        print(line, flush=True)
+    for line in fill_records():
         print(line, flush=True)
     for line in scan_records():
         print(line, flush=True)
