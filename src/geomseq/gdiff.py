@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import UnsupportedOrder
 from .garith import GNum
-from .gseq import GSeq, exact_prefix_sums, sup_gabs
+from .gseq import ExactSum, GSeq, sup_gabs
 
 __all__ = [
     "MAX_ORDER",
@@ -171,5 +171,6 @@ def delta_norm(x: GSeq, m: int, N: int) -> GNum:
     m = check_order(m)
     if not isinstance(N, int) or N < 1:
         raise ValueError(f"norm window must be a positive integer, got {N!r}")
-    head = exact_prefix_sums(np.abs(x.log_points(np.arange(1, m + 1))), [m])[0]
-    return GNum(head + sup_gabs(delta_binomial(x, m), N).log_value)
+    head = ExactSum()
+    head.add(1, np.abs(x.log_points(np.arange(1, m + 1))))
+    return GNum(head.read() + sup_gabs(delta_binomial(x, m), N).log_value)

@@ -36,7 +36,9 @@ fails to read raises its own error and ends the scan.  The engine folds
 each piece into a small accumulator by ``add(k, vals)``, ``vals[0]`` being
 term k, and takes its ``read()`` at each end: :class:`ExactSum` carries the
 exact running sum as one Python int and rounds it once, to the value
-``math.fsum`` gives for that prefix; :class:`RunningMax` keeps the sup and
+``math.fsum`` gives for that prefix, and takes each piece's exact sum from
+a few vector passes of error-free extraction (Rump, Ogita and Oishi, 2008;
+see ``_SUM_UNIT``); :class:`RunningMax` keeps the sup and
 its first term, the witness; a float running sum starts each piece's
 cumsum from the carried total (``x[0] = carry + x[0]``), so it adds term
 after term exactly as one cumsum over the whole window would.  The beta
@@ -47,6 +49,7 @@ gives them bit for bit as the reversed cumsum of the logs through e.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -239,33 +242,48 @@ SUM_CHUNK = 1 << 14
 
 # A finite float64 is m * 2^(e - 53) with m a 53-bit integer and frexp's
 # exponent e >= -1073, so every term is a whole multiple of 2^-1126.
+# _chunk_total sums a chunk exactly, as an int in these units, by error-free
+# extraction (Rump, Ogita and Oishi, *Accurate floating-point summation,
+# part I*, SIAM J. Sci. Comput. 31, 2008).  With |p| < 2^e and
+# sigma = 2^(e + _MARGIN), q = (p + sigma) - sigma is p rounded to a multiple
+# of 2^(e + _MARGIN - 53), at most 2^e in magnitude; the subtraction is exact
+# by Sterbenz, and so is the remainder p - q.  A chunk holds fewer than
+# 2^_MARGIN terms, so every partial sum of its q is a multiple of
+# 2^(e + _MARGIN - 53) below 2^(e + _MARGIN): ``np.sum`` adds them exactly,
+# in any order.
 _SUM_UNIT = 1 << 1126
+_MARGIN = SUM_CHUNK.bit_length()
 
-# Four bins per exponent: term i goes to lane i & 3, so bincount does not add
-# a run of terms that share an exponent one after another into one bin.
-_LANES = np.arange(SUM_CHUNK) & 3
+# sigma stays finite for every top below this; larger terms are scaled down
+# by 2^-_SHIFT, exactly, and summed on their own.
+_BIG = 2.0 ** (1023 - _MARGIN)
+_SHIFT = 512
 
 
-def _chunk_total(chunk: np.ndarray) -> int:
+def _chunk_total(p: np.ndarray) -> int:
     """The exact sum of a finite chunk of at most :data:`SUM_CHUNK` terms,
-    in units of 2^-1126.  Each lane's bin sums at most 2^12 integers below
-    2^27 in float64, which is exact."""
-    frac, exp = np.frexp(chunk)
-    frac *= 2.0**27
-    top = np.floor(frac)  # the signed top 27 bits of the 53-bit mantissa
-    frac -= top
-    frac *= 2.0**26  # the low 26 bits, a whole number in [0, 2^26)
-    idx = exp.astype(np.intp)
-    idx += 1073  # a term is mantissa * 2^(idx - 1126); zeros add nothing
-    idx <<= 2
-    idx += _LANES[: len(chunk)]  # bin b holds exponent b >> 2
-    hi = np.bincount(idx, weights=top)
-    lo = np.bincount(idx, weights=frac)
-    bins = np.flatnonzero((hi != 0) | (lo != 0))
+    in units of 2^-1126 (see :data:`_SUM_UNIT`).
+
+    Each pass adds the sum of q and goes on with the remainder p - q, which
+    is at most ulp(sigma) / 2.  Most chunks take two passes; from the third
+    on only the nonzero remainders are carried, so a chunk whose terms span
+    many binades stays cheap."""
     total = 0
-    for b, h, l in zip(bins.tolist(), hi[bins].tolist(), lo[bins].tolist()):
-        total += ((int(h) << 26) + int(l)) << (b >> 2)
-    return total
+    for passes in itertools.count():
+        if passes >= 2:
+            p = p[p != 0]
+        top = max(p.max(initial=0.0), -p.min(initial=0.0))
+        if not top:
+            return total
+        if top >= _BIG:  # on the first pass only
+            big = np.abs(p) >= _BIG
+            return _chunk_total(p[~big]) + (_chunk_total(p[big] * 2.0**-_SHIFT) << _SHIFT)
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + _MARGIN)
+        q = p + sigma
+        q -= sigma
+        n, d = float(q.sum()).as_integer_ratio()
+        total += n * (_SUM_UNIT // d)
+        p = p - q
 
 
 class ExactSum:
@@ -299,18 +317,6 @@ class ExactSum:
             return self.total / _SUM_UNIT  # int / int rounds correctly
         except OverflowError:
             return math.inf if self.total > 0 else -math.inf
-
-
-def exact_prefix_sums(vals: np.ndarray, ends: Iterable[int]) -> list[float]:
-    """:meth:`ExactSum.read` of ``vals[:e]`` for nondecreasing ends e, in one
-    pass; terms past the last end are not read."""
-    acc, start, sums = ExactSum(), 0, []
-    for end in ends:
-        end = min(int(end), len(vals))
-        acc.add(start, vals[start:end])
-        start = max(start, end)
-        sums.append(acc.read())
-    return sums
 
 
 class RunningMax:

@@ -50,11 +50,14 @@ from geomseq.gseq import (
     ExpressionSeq,
     SparseLogSeq,
     SUM_CHUNK,
+    _BIG,
+    _MARGIN,
+    _chunk_total,
     conjunction,
-    exact_prefix_sums,
     monotone_verdict,
     signed_series_verdict,
 )
+from exact_sums import exact_prefix_sums
 
 
 def rel_close(a, b, tol):
@@ -378,6 +381,61 @@ class TestExactPrefixSums:
         for vals in ([-0.0], [-0.0, -0.0], [1.5, -1.5], [5e-324, -5e-324]):
             (total,) = exact_prefix_sums(np.array(vals), [len(vals)])
             assert total.hex() == "0x0.0p+0"
+
+
+@st.composite
+def kernel_chunks(draw):
+    """Finite chunks of up to SUM_CHUNK terms at the edges of the exact-sum
+    kernel: exponent spreads that take three or more passes, terms at and
+    above 2^1000 among subnormals, a full chunk of one sign near its top,
+    tops that are powers of two, and +-0.0 with x, -x pairs."""
+    kind = draw(st.sampled_from(["spread", "big", "one_sign", "equal", "pow2", "cancel"]))
+    if kind in ("one_sign", "equal"):  # a full chunk is the worst case
+        n = SUM_CHUNK
+    else:
+        n = draw(st.sampled_from([SUM_CHUNK, SUM_CHUNK - 1]) | st.integers(0, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signs = rng.choice([-1.0, 1.0], size=n)
+    if kind == "spread":
+        lo = draw(st.integers(-1074, 1000))
+        hi = min(1024, lo + draw(st.integers(80, 2100)))
+        vals = np.ldexp(rng.random(n), rng.integers(lo, hi, size=n)) * signs
+    elif kind == "big":  # [2^1000, 2^1024) or subnormal
+        big = np.ldexp(1.0 + rng.random(n), rng.integers(1000, 1023, size=n))
+        tiny = rng.integers(1, 1 << 52, size=n) * 2.0**-1074
+        vals = np.where(rng.random(n) < 0.5, big, tiny) * signs
+    elif kind == "one_sign":  # the most a sum of a pass's q can reach
+        e = draw(st.integers(-1073, 1024))
+        vals = np.ldexp(0.5 + 0.5 * rng.random(n), e) * draw(st.sampled_from([-1.0, 1.0]))
+    elif kind == "equal":
+        top = draw(st.sampled_from([sys.float_info.max, np.nextafter(_BIG, 0.0), _BIG, 2.0**1000,
+                                    np.nextafter(1.0, 0.0), 5e-324]))
+        vals = np.full(n, top * draw(st.sampled_from([-1.0, 1.0])))
+    elif kind == "pow2":  # frexp(2^j) is (0.5, j + 1)
+        j = draw(st.integers(-1074, 1023))
+        vals = np.ldexp(rng.random(n), j) * signs
+        vals[rng.random(n) < 0.1] = 2.0**j
+    else:
+        vals = np.ldexp(rng.random(n), rng.integers(-1074, 1024, size=n)) * signs
+        vals[rng.random(n) < 0.2] = draw(st.sampled_from([0.0, -0.0]))
+        vals[1::2] = -vals[: n // 2 * 2 : 2]
+    return vals
+
+
+class TestChunkKernel:
+    @settings(max_examples=40, deadline=None)
+    @given(kernel_chunks())
+    @example(np.ldexp(0.5 + 0.5 * np.random.default_rng(1).random(SUM_CHUNK), 1024))
+    @example(np.array([2.0**1000, -(2.0**1023), 5e-324, sys.float_info.max, -2.5e-310]))
+    @example(2.0 ** -np.arange(SUM_CHUNK) * 1.1)
+    def test_is_the_fraction_sum(self, chunk):
+        assert _chunk_total(chunk) == sum(Fraction(v) for v in chunk.tolist()) * 2**1126
+
+    def test_margin_covers_a_whole_chunk(self):
+        # a pass's partial sums stay below 2^(e + _MARGIN) only while a chunk
+        # holds fewer than 2^_MARGIN terms, and sigma stays finite below _BIG
+        assert SUM_CHUNK < 2**_MARGIN
+        assert math.isfinite(math.ldexp(1.0, math.frexp(np.nextafter(_BIG, 0.0))[1] + _MARGIN))
 
 
 # ---------------------------------------------------------------------------

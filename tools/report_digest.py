@@ -74,6 +74,9 @@ CLI_COMMANDS = [
     ["dual", "--kind", "alpha", "--m", "2", "--seq", "exp(1e300*k)", "--N", "900"],
     ["dual", "--kind", "beta", "--seq", "overflow.txt", "--logs", "--N", "900"],
     ["dual", "--kind", "gamma", "--seq", "overflow.txt", "--logs", "--N", "900"],
+    # window sums over logs from 2^1005 down to subnormals
+    ["dual", "--kind", "alpha", "--m", "1", "--seq", "wide.txt", "--logs", "--N", "900"],
+    ["dual", "--kind", "beta", "--seq", "wide.txt", "--logs", "--N", "900"],
     # scanner and error paths
     ["eval", "--seq", "k+\u0663"],
     ["eval", "--seq", "2ek"],
@@ -93,6 +96,9 @@ FILL_WINDOWS = {
     "exp(k^(0-150))": ((130, 30), (1, 3000)),
     "exp((1/k)^200)": ((35, 15), (1, 3000)),
 }
+
+#: Window of the exact-sum kernel records: its ends close no 2^14-term piece.
+WIDE_WINDOW = (1 << 15) + 3
 
 #: Indices of the point-read records, by label.
 POINT_KS = {"1..300": range(1, 301), "1000": [1000], "5000": [5000], "77777": [77_777]}
@@ -242,6 +248,44 @@ def scan_records():
             )
 
 
+def wide_buffers(count: int) -> dict:
+    """Log buffers of ``count`` terms whose window sums take the exact-sum
+    kernel to its edges: terms of 2^1000 and more, subnormals, and spans like
+    2^-k that reach across the whole exponent range."""
+    rng = np.random.default_rng(20261019)
+    k = np.arange(count)
+    signs = rng.choice([-1.0, 1.0], size=count)
+    big = np.ldexp(1.0 + rng.random(count), rng.integers(1000, 1007, size=count))
+    tiny = rng.integers(1, 1 << 52, size=count) * 2.0**-1074
+    spread = np.ldexp(rng.random(count), rng.integers(-1074, 960, size=count))
+    return {
+        "spread": gseq.seq_from_logs(spread * signs),
+        "big_and_subnormal": gseq.seq_from_logs(np.where(k % 2 == 0, big, tiny) * signs),
+        "halving": gseq.seq_from_logs(np.ldexp(1.1, -(k % 1100)) * (-1.0) ** k),
+        "sparse": gseq.SparseLogSeq(
+            {1: 2.0**1006, 2: -5e-324, 3: 2.0**-1000, 16384: -(2.0**1006), count - 1: 1.5}
+        ),
+    }
+
+
+def kernel_records():
+    """The window sums of :func:`wide_buffers` at :data:`WIDE_WINDOW`: the alpha
+    and beta dual tests, ``gsum_partial``, ``remainder`` and ``delta_norm``."""
+    n = WIDE_WINDOW
+    for name, x in wide_buffers(2 * n).items():
+        reports = {
+            "alpha|1": lambda: duals.alpha_dual_test(x, 1, n).to_dict(),
+            "alpha|2": lambda: duals.alpha_dual_test(x, 2, n).to_dict(),
+            "beta": lambda: duals.beta_dual_test(x, n).to_dict(),
+            "gsum_partial|16385": lambda: gseq.gsum_partial(x, 16385).log_value,
+            f"gsum_partial|{2 * n}": lambda: gseq.gsum_partial(x, 2 * n).log_value,
+            "remainder|16383": lambda: _pair(gseq.remainder(x, 16383, n)),
+            "delta_norm|2": lambda: gdiff.delta_norm(x, 2, n).log_value,
+        }
+        for label, make in reports.items():
+            yield report_line(f"wide[{name}|{label}|{n}]", make)
+
+
 def process_line(name: str, argv: list, cwd: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
@@ -256,6 +300,9 @@ def process_records():
         (cwd / "values.txt").write_text("".join(f"{1 + 1 / k**2!r}\n" for k in ks))
         (cwd / "logs.txt").write_text("".join(f"{(-1) ** k / k!r}\n" for k in ks))
         (cwd / "overflow.txt").write_text("1e308\n1e308\n-1e308\n" * 700)
+        (cwd / "wide.txt").write_text(
+            "".join(f"{(-1) ** k * 2.0 ** (1006 - k) if k % 7 else k * 5e-324!r}\n" for k in ks)
+        )
         (cwd / "bad.txt").write_text("1.0\nnot-a-number\n")
         for argv in CLI_COMMANDS:
             name = "cli[" + " ".join(argv) + "]"
@@ -275,6 +322,8 @@ def main() -> None:
     for line in fill_records():
         print(line, flush=True)
     for line in scan_records():
+        print(line, flush=True)
+    for line in kernel_records():
         print(line, flush=True)
     for line in process_records():
         print(line, flush=True)
