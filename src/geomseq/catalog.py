@@ -60,8 +60,9 @@ def _expr_entry(src: str, spaces: dict, duals: dict) -> CatalogEntry:
 
 
 def _alternating_entry() -> CatalogEntry:
-    ks = np.arange(1, ALT_BUFFER_LEN + 1, dtype=np.float64)
-    logs = np.where(np.arange(1, ALT_BUFFER_LEN + 1) % 2 == 0, 1.0, -1.0) / ks
+    logs = np.arange(1, ALT_BUFFER_LEN + 1, dtype=np.float64)
+    np.divide(1.0, logs, out=logs)
+    logs[::2] *= -1.0  # odd k
     spaces = {
         ("linf", 0): (True, "immediate", "logs bounded by 1"),
         ("linf", 1): (True, "analytic", "difference logs bounded by 2"),

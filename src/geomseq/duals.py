@@ -114,13 +114,13 @@ class _PartialSums:
 
     def add(self, k: int, logs: np.ndarray) -> None:
         if math.isfinite(self.carry):
+            s = np.arange(k, k + len(logs), dtype=np.float64)
             with np.errstate(over="ignore", invalid="ignore"):
-                s = np.arange(k, k + len(logs), dtype=np.float64) * logs
+                s *= logs
                 s[0] = self.carry + s[0]
                 np.cumsum(s, out=s)
-            bad = ~np.isfinite(s)
-            if bad.any():  # the series passed float64: diverged
-                i = int(np.argmax(bad))
+            if not math.isfinite(s[-1]):  # the series passed float64, never to return
+                i = int(np.argmax(~np.isfinite(s)))
                 s[i:] = s[i]
         else:
             s = np.full(len(logs), self.carry)
@@ -147,12 +147,12 @@ def _tail_sums(a: GSeq, ends: tuple[int, ...]) -> list[float]:
     carry = {e: -0.0 for e in ends}  # -0.0 + x is x: R_{e-1} is term e
     sums = {e: ExactSum() for e in ends}
     for k, logs in a.log_chunks(2, ends[-1], ends, reverse=True):
+        rev, r = logs[::-1].copy(), np.empty(len(logs))
         for e in ends:
             if k + len(logs) - 1 <= e:
-                r = logs[::-1].copy()
                 with np.errstate(over="ignore"):
-                    r[0] = carry[e] + r[0]
-                    np.cumsum(r, out=r)
+                    rev[0] = carry[e] + logs[-1]
+                    np.cumsum(rev, out=r)
                 carry[e] = float(r[-1])
                 sums[e].add(k, np.abs(r, out=r))
     return [sums[e].read() for e in ends]

@@ -402,20 +402,21 @@ def _first(ks: np.ndarray, mask: np.ndarray) -> int:
     return int(ks[np.nonzero(mask)[0][0]])
 
 
-def _value_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
+def _value_array(node: ExprAst, ks: np.ndarray, scalar: bool = False) -> np.ndarray:
     kind = node.kind
-    if kind == "const":
-        return np.full(ks.shape, node.value, dtype=np.float64)
+    if kind in ("const", "e"):  # a float64 scalar, if asked, reads as its full array in + - * /
+        value = np.float64(math.e if kind == "e" else node.value)
+        return value if scalar else np.full(ks.shape, value)
     if kind == "k":
         return ks.astype(np.float64)
-    if kind == "e":
-        return np.full(ks.shape, math.e, dtype=np.float64)
+    if kind == "pow":  # full arrays: numpy's scalar-exponent powers differ in the last bit
+        return _power(node, *(_value_array(child, ks) for child in node.children), ks)
     if kind in _ARITH:
-        a = _value_array(node.children[0], ks)
-        b = _value_array(node.children[1], ks)
-        if kind == "div" and np.any(b == 0.0):
-            raise DomainError(f"division by zero at k={_first(ks, b == 0.0)}")
-        return _power(node, a, b, ks) if kind == "pow" else _ARITH[kind](a, b)
+        a, b = (_value_array(child, ks, scalar=True) for child in node.children)
+        if kind == "div" and np.any(b == 0.0) and ks.size:
+            raise DomainError(f"division by zero at k={_first(ks, np.broadcast_to(b == 0.0, ks.shape))}")
+        out = _ARITH[kind](a, b)
+        return out if isinstance(out, np.ndarray) else np.full(ks.shape, out)
     if kind == "exp":
         out = np.exp(_value_array(node.children[0], ks))
         if not np.all(np.isfinite(out)):

@@ -32,14 +32,17 @@ thresholds are package constants, shared by every caller.
 Every verdict reads its terms through one engine, :func:`window_scan`, in
 the pieces of :meth:`GSeq.log_chunks`: at most :data:`SUM_CHUNK` terms,
 ending also at N/2, N and 2N, so memory does not grow with N.  A piece that
-fails to read raises its own error and ends the scan.  The engine folds
+fails to read raises its own error and ends the scan; a buffer's pieces are
+read-only views of its logs, so no fold may write into one.  The engine folds
 each piece into a small accumulator by ``add(k, vals)``, ``vals[0]`` being
 term k, and takes its ``read()`` at each end: :class:`ExactSum` carries the
 exact running sum as one Python int and rounds it once, to the value
 ``math.fsum`` gives for that prefix, and takes each piece's exact sum from
 a few vector passes of error-free extraction (Rump, Ogita and Oishi, 2008;
-see ``_SUM_UNIT``); :class:`RunningMax` keeps the sup and
-its first term, the witness; a float running sum starts each piece's
+see ``_SUM_UNIT``): the first pass's max and min are also its test for inf
+and nan, the second runs from the bound the first leaves, and only a piece
+with a remainder after that measures again; :class:`RunningMax` keeps the
+sup and its first term, the witness; a float running sum starts each piece's
 cumsum from the carried total (``x[0] = carry + x[0]``), so it adds term
 after term exactly as one cumsum over the whole window would.  The beta
 and gamma tails R_k = sum of the logs of terms k+1 .. e are summed from
@@ -49,7 +52,6 @@ gives them bit for bit as the reversed cumsum of the logs through e.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -244,13 +246,15 @@ SUM_CHUNK = 1 << 14
 # exponent e >= -1073, so every term is a whole multiple of 2^-1126.
 # _chunk_total sums a chunk exactly, as an int in these units, by error-free
 # extraction (Rump, Ogita and Oishi, *Accurate floating-point summation,
-# part I*, SIAM J. Sci. Comput. 31, 2008).  With |p| < 2^e and
+# part I*, SIAM J. Sci. Comput. 31, 2008).  With |p| <= 2^e and
 # sigma = 2^(e + _MARGIN), q = (p + sigma) - sigma is p rounded to a multiple
 # of 2^(e + _MARGIN - 53), at most 2^e in magnitude; the subtraction is exact
 # by Sterbenz, and so is the remainder p - q.  A chunk holds fewer than
 # 2^_MARGIN terms, so every partial sum of its q is a multiple of
 # 2^(e + _MARGIN - 53) below 2^(e + _MARGIN): ``np.sum`` adds them exactly,
-# in any order.
+# in any order.  The remainder is at most 2^(e + _MARGIN - 53), half the
+# float spacing above sigma, so the next pass may take that as its bound
+# without measuring it, as long as its sigma is a normal float.
 _SUM_UNIT = 1 << 1126
 _MARGIN = SUM_CHUNK.bit_length()
 
@@ -260,30 +264,44 @@ _BIG = 2.0 ** (1023 - _MARGIN)
 _SHIFT = 512
 
 
-def _chunk_total(p: np.ndarray) -> int:
-    """The exact sum of a finite chunk of at most :data:`SUM_CHUNK` terms,
-    in units of 2^-1126 (see :data:`_SUM_UNIT`).
+def _extract(p: np.ndarray, e: int) -> tuple[int, np.ndarray]:
+    """One pass over terms |p| <= 2^e: the sum of q, and p - q."""
+    sigma = math.ldexp(1.0, e + _MARGIN)
+    q = p + sigma
+    q -= sigma
+    n, d = float(q.sum()).as_integer_ratio()
+    return n * (_SUM_UNIT // d), np.subtract(p, q, out=q)
 
-    Each pass adds the sum of q and goes on with the remainder p - q, which
-    is at most ulp(sigma) / 2.  Most chunks take two passes; from the third
-    on only the nonzero remainders are carried, so a chunk whose terms span
-    many binades stays cheap."""
-    total = 0
-    for passes in itertools.count():
-        if passes >= 2:
-            p = p[p != 0]
-        top = max(p.max(initial=0.0), -p.min(initial=0.0))
-        if not top:
+
+def _chunk_total(p: np.ndarray) -> Optional[int]:
+    """The exact sum of a chunk of at most :data:`SUM_CHUNK` terms, in units
+    of 2^-1126 (see :data:`_SUM_UNIT`), or None if it holds an inf or nan.
+
+    Pass 1 measures its top, pass 2 (unless its sigma would be subnormal)
+    runs from pass 1's bound, and one ``any()`` after each ends most chunks.
+    Later passes measure again, over the nonzero remainders only."""
+    hi, lo = float(p.max(initial=0.0)), float(p.min(initial=0.0))
+    if not math.isfinite(hi + lo):  # hi >= 0 >= lo: finite terms never overflow this
+        return None
+    top = max(hi, -lo)
+    if not top:
+        return 0
+    if top >= _BIG:
+        big = np.abs(p) >= _BIG
+        return _chunk_total(p[~big]) + (_chunk_total(p[big] * 2.0**-_SHIFT) << _SHIFT)
+    e = math.frexp(top)[1]
+    total, p = _extract(p, e)
+    if not p.any():
+        return total
+    if e + 2 * _MARGIN - 53 >= -1022:
+        extra, p = _extract(p, e + _MARGIN - 53)
+        total += extra
+        if not p.any():
             return total
-        if top >= _BIG:  # on the first pass only
-            big = np.abs(p) >= _BIG
-            return _chunk_total(p[~big]) + (_chunk_total(p[big] * 2.0**-_SHIFT) << _SHIFT)
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + _MARGIN)
-        q = p + sigma
-        q -= sigma
-        n, d = float(q.sum()).as_integer_ratio()
-        total += n * (_SUM_UNIT // d)
-        p = p - q
+    while (p := p[p != 0]).size:
+        extra, p = _extract(p, math.frexp(max(p.max(), -p.min()))[1])
+        total += extra
+    return total
 
 
 class ExactSum:
@@ -304,11 +322,12 @@ class ExactSum:
     def add(self, k: int, vals: np.ndarray) -> None:  # a sum needs no index k
         for start in range(0, len(vals), SUM_CHUNK):
             chunk = vals[start : start + SUM_CHUNK]
-            finite = np.isfinite(chunk)
-            if not finite.all():
+            total = _chunk_total(chunk)
+            if total is None:
+                finite = np.isfinite(chunk)
                 self.special = np.unique(np.concatenate([self.special, chunk[~finite]]))
-                chunk = chunk[finite]
-            self.total += _chunk_total(chunk)
+                total = _chunk_total(chunk[finite])
+            self.total += total
 
     def read(self) -> float:
         if len(self.special):
@@ -349,11 +368,12 @@ def window_ends(N: int, first: int = 1) -> tuple[int, int, int]:
 def _weighted_abs(k: int, logs: np.ndarray, weight: float) -> np.ndarray:
     """k^weight |logs|, ``logs[0]`` being term k.  Past float64 a term is
     inf, and an inf weight on a zero log adds nothing."""
+    vals = np.abs(logs)
     if weight == 0.0:
-        return np.abs(logs)
+        return vals
     ks = np.arange(k, k + len(logs), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.power(ks, weight) * np.abs(logs)
+        vals *= ks if weight == 1.0 else np.power(ks, weight, out=ks)
     vals[logs == 0.0] = 0.0
     return vals
 
@@ -491,12 +511,13 @@ class GSeq:
         self, first: int, last: int, stops: Iterable[int] = (), reverse: bool = False
     ) -> Iterator[tuple[int, np.ndarray]]:
         """The window scan: the logs of terms first..last as ``(k, logs)``
-        pieces, ``logs[0]`` being term k, each read by :meth:`log_values`.
+        pieces, ``logs[0]`` being term k, each read by :meth:`_piece`.
 
         A piece holds at most :data:`SUM_CHUNK` terms and ends at every stop
         in the range, so a fold over the pieces can be read there.  Pieces
         come in ascending order, or with ``reverse`` the same pieces from
-        ``last`` down.  The whole range is bounds-checked before any term is
+        ``last`` down.  A piece may be a read-only view: a fold must not
+        write into it.  The whole range is bounds-checked before any term is
         read; a piece that fails to read raises its own
         :class:`~geomseq.errors.GeometricError`, so the scan stops there.
         """
@@ -509,7 +530,11 @@ class GSeq:
         for a, b in reversed(segments) if reverse else segments:
             starts = range(a, b, SUM_CHUNK)
             for lo in reversed(starts) if reverse else starts:
-                yield lo, self.log_values(lo, min(SUM_CHUNK, b - lo))
+                yield lo, self._piece(lo, min(SUM_CHUNK, b - lo))
+
+    def _piece(self, lo: int, n: int) -> np.ndarray:
+        """The logs of terms lo .. lo+n-1 for :meth:`log_chunks`."""
+        return self.log_values(lo, n)
 
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
         """The one float read: logs of terms ``starts[i] + j`` for
@@ -547,7 +572,8 @@ class BufferSeq(GSeq):
             raise ValueError("a buffer sequence wants a 1-d array of logs")
         if not np.all(np.isfinite(logs)):
             raise DomainError("buffer logs must all be finite")
-        self._logs = logs
+        self._logs = logs.view()
+        self._logs.flags.writeable = False  # so every scan piece is read-only
 
     def __repr__(self) -> str:
         return f"BufferSeq(<{len(self._logs)} terms>)"
@@ -555,6 +581,9 @@ class BufferSeq(GSeq):
     @property
     def length(self) -> Optional[int]:
         return len(self._logs)
+
+    def _piece(self, lo: int, n: int) -> np.ndarray:
+        return self._logs[lo - 1 : lo - 1 + n]
 
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
         return sliding_window_view(self._logs, count)[starts - 1]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from geomseq import (
     term,
     weighted_sup,
 )
+from geomseq import gseq
 from geomseq.gseq import (
     BufferSeq,
     ExpressionSeq,
@@ -438,6 +440,58 @@ class TestChunkKernel:
         assert math.isfinite(math.ldexp(1.0, math.frexp(np.nextafter(_BIG, 0.0))[1] + _MARGIN))
 
 
+@st.composite
+def pass_edge_chunks(draw):
+    """Chunks at the edges of the kernel's second pass, which runs from the
+    bound the first leaves: tops in 2^-1010 .. 2^-980, where its sigma nears
+    the subnormals; spreads over 25 binades, which can still need a third pass;
+    and integer-valued pieces, which the first pass clears alone.  Returns
+    the chunk and whether one pass must do."""
+    kind = draw(st.sampled_from(["tiny", "spread", "integers"]))
+    n = draw(st.sampled_from([SUM_CHUNK, SUM_CHUNK - 1]) | st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "integers":  # below 2^37 the first pass rounds to a grid of at most 1
+        bits = draw(st.integers(0, 36))
+        return rng.integers(-(2**bits), 2**bits, size=n, endpoint=True).astype(np.float64), True
+    top = draw(st.integers(-1010, -980)) if kind == "tiny" else draw(st.integers(-1000, 1000))
+    spread = draw(st.integers(0, 80)) if kind == "tiny" else 25
+    exps = rng.integers(top - spread, top, size=n, endpoint=True)
+    return np.ldexp(1.0 + rng.random(n), exps) * rng.choice([-1.0, 1.0], size=n), False
+
+
+def _pass_bounds(chunk):
+    """The bound 2^e of each extraction pass the kernel runs on ``chunk``."""
+    with mock.patch.object(gseq, "_extract", wraps=gseq._extract) as spy:
+        total = _chunk_total(chunk)
+    assert total == sum(Fraction(v) for v in chunk.tolist()) * 2**1126
+    return [call.args[1] for call in spy.call_args_list]
+
+
+class TestChunkKernelPasses:
+    @settings(max_examples=40, deadline=None)
+    @given(pass_edge_chunks())
+    def test_is_the_fraction_sum(self, case):
+        chunk, one_pass = case
+        bounds = _pass_bounds(chunk)
+        if one_pass:
+            assert len(bounds) <= 1
+        elif len(bounds) > 1 and bounds[0] + 2 * _MARGIN - 53 >= -1022:
+            assert bounds[1] == bounds[0] + _MARGIN - 53  # not measured
+
+    @pytest.mark.parametrize("terms, bounds", [
+        ([3.0 * j for j in range(-SUM_CHUNK // 2, SUM_CHUNK // 2)], [15]),
+        ([1.0 + 2.0**-40, -0.5], [1, -37]),  # the first pass leaves 2^-40
+        ([1.5, 2.0**-25 + 2.0**-77], [1, -37, -76]),  # 25 binades: 2^-77 outlives two passes
+        ([2.0**-1000 + 2.0**-1052], [-999, -1037]),  # the second sigma is 2^-1022
+        ([2.0**-1001 + 2.0**-1053], [-1000, -1052]),  # it would be 2^-1023: measured instead
+        ([2.0**-1005 + 2.0**-1057, 5e-324], [-1004, -1056]),
+    ])
+    def test_second_pass_runs_from_the_first_passs_bound(self, terms, bounds):
+        # the first pass's remainders are at most 2^(e + _MARGIN - 53)
+        assert _MARGIN == 15
+        assert _pass_bounds(np.array(terms)) == bounds
+
+
 # ---------------------------------------------------------------------------
 # The window scan.  Every N/2, N, 2N report reads its terms in pieces of
 # SUM_CHUNK; the references below read them as one whole array, with the
@@ -665,6 +719,27 @@ class TestWindowScan:
         assert [(k, len(logs)) for k, logs in backward] == pieces[::-1]
         for k, logs in backward:
             assert np.array_equal(logs, np.arange(k, k + len(logs), dtype=np.float64))
+
+    def test_scans_never_write_into_a_buffer(self):
+        """A buffer's scan pieces are read-only views of the caller's array:
+        every verdict over it leaves the array's bytes as they were."""
+        n = 2 * SUM_CHUNK + 9
+        logs = np.random.default_rng(5).standard_normal(n) / np.arange(1, n + 1)
+        logs[::7], logs[3::11] = 0.0, -0.0
+        kept = logs.tobytes()
+        x, N = BufferSeq(logs), (n - 1) // 2
+        calls = [
+            lambda: alpha_dual_test(x, 1, N), lambda: alpha_dual_test(x, 2, N),
+            lambda: alpha_alpha_dual_test(x, 1, N), lambda: beta_dual_test(x, N),
+            lambda: gamma_dual_test(x, N), lambda: lemma_equivalence_check(x, N),
+            lambda: gsum_partial(x, n), lambda: remainder(x, 3, N), lambda: sup_gabs(x, n),
+        ] + [lambda s=s, m=m: classify(x, s, m, N) for s in ("linf", "c", "c0") for m in (0, 1)]
+        for call in calls:
+            call()
+        assert logs.tobytes() == kept and logs.flags.writeable
+        for _, piece in x.log_chunks(1, n):
+            with pytest.raises(ValueError, match="read-only"):
+                piece[0] = 1.0
 
     def test_a_short_buffer_names_the_window_end(self):
         """Each scan checks its whole range before reading a term, so the
