@@ -101,8 +101,8 @@ def _range_type(text: str) -> tuple[int, int]:
         a, b = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError("range bounds must be integers") from None
-    if a < 1 or b < a:
-        raise argparse.ArgumentTypeError("range needs 1 <= start <= end")
+    if a < 1 or b < a or b >= 2**63:
+        raise argparse.ArgumentTypeError("range needs 1 <= start <= end <= 2^63-1")
     return a, b
 
 
@@ -236,7 +236,7 @@ def dual_report_from_envelope(env: dict) -> DualReport:
 def _rows_envelope(args, seq: GSeq, **inputs) -> dict:
     """The eval/diff envelope: the logs of ``seq`` over ``args.range``."""
     lo, hi = args.range
-    logs = seq.log_points(np.arange(lo, hi + 1)).tolist()
+    logs = seq.log_points(np.arange(lo, hi + 1, dtype=np.int64)).tolist()
     rows = [{"k": k, "log_value": v, "rendering": GNum(v).render()} for k, v in enumerate(logs, lo)]
     inputs = {"seq": args.seq, **inputs, "range": f"{lo}..{hi}"}
     return {"command": args.command, "inputs": inputs, "rows": rows}

@@ -21,12 +21,14 @@ five-binade margin covers the rounding of p·log2 b and of ``pow``.
 One ASCII-only regular expression scans the source; any character it
 does not take as whitespace, a number, a name or an operator is an error at
 its offset.  One table, ``_ARITH``, says what each ``+ - * / ^`` node
-computes, for every evaluator and the lowering alike.
+computes, for the evaluator and the lowering alike.
 
-Two evaluators and one lowering share the AST:
+One float evaluator and one lowering share the AST:
 
-* :func:`eval_value` / :func:`eval_value_array` work in the value domain;
-* :func:`eval_at` produces a :class:`GNum` using the top-level exp shortcut;
+* :func:`eval_value_array` reads the values over an index array and
+  :func:`eval_log_array` the logs, with the top-level exp shortcut;
+  :func:`eval_value`, :func:`eval_at` and :func:`eval_log` read one term as
+  a one-term array, so a term's bits do not depend on how it is asked for;
 * :func:`lower_log` turns the log of the term into one exact rational
   function of k where the structure allows (rational exponents under exp,
   integer powers, products), for difference operators to cancel exactly.
@@ -59,7 +61,7 @@ __all__ = [
     "eval_log",
 ]
 
-#: What each binary node computes, in the evaluators and the lowering; the
+#: What each binary node computes, in the evaluator and the lowering; the
 #: lowering takes ``pow`` only with a constant integer exponent, by a rule
 #: of its own.
 _ARITH = {
@@ -88,7 +90,7 @@ class ExprAst:
     value: float | None = None
     exact: Exact | None = None
     literal: str | None = None
-    #: Levels from this node down to its deepest leaf; the evaluators and
+    #: Levels from this node down to its deepest leaf; the evaluator and
     #: the printer recurse this deep.
     height: int = field(init=False, repr=False, compare=False)
 
@@ -310,72 +312,14 @@ def _wrap(node: ExprAst, min_prec: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Value-domain evaluation (scalar)
+# Evaluation.  One float interpreter, over index arrays; a public scalar read
+# is the read of a one-term array.
 
 
 def _check_k(k: int) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError(f"sequence index must be a positive integer, got {k!r}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k < 2**63:
+        raise DomainError(f"sequence index must be an integer in 1..2^63-1, got {k!r}")
     return int(k)
-
-
-def eval_value(node: ExprAst, k: int) -> float:
-    """Plain real evaluation at integer index k (k >= 1)."""
-    _check_k(k)
-    kind = node.kind
-    if kind == "const":
-        return node.value  # type: ignore[return-value]
-    if kind == "k":
-        return float(k)
-    if kind == "e":
-        return math.e
-    if kind in _ARITH:
-        a = eval_value(node.children[0], k)
-        b = eval_value(node.children[1], k)
-        try:
-            out = _ARITH[kind](a, b)
-        except ZeroDivisionError:
-            raise DomainError(f"division by zero at k={k}")
-        except OverflowError:
-            raise DomainError(f"overflow evaluating {to_source(node)!r} at k={k}")
-        if isinstance(out, complex):  # a negative base to a non-integer power
-            raise DomainError(f"invalid power in {to_source(node)!r} at k={k}")
-        return out
-    if kind == "exp":
-        a = eval_value(node.children[0], k)
-        try:
-            return math.exp(a)
-        except OverflowError:
-            raise DomainError(f"inner exp overflow at k={k}")
-    if kind == "ln":
-        a = eval_value(node.children[0], k)
-        if a <= 0:
-            raise DomainError(f"ln of non-positive value {a!r} at k={k}")
-        return math.log(a)
-    raise DomainError(f"unknown node kind {kind!r}")
-
-
-def eval_at(node: ExprAst, k: int) -> GNum:
-    """Evaluate as a geometric number at index k (k >= 1).
-
-    A top-level ``exp(f(k))`` becomes ``GNum.from_log(f(k))`` without ever
-    forming the exponential; anything else is evaluated as a value and must
-    come out strictly positive.
-    """
-    _check_k(k)
-    if node.kind == "exp":
-        u = eval_value(node.children[0], k)
-        return GNum.from_log(u)
-    v = eval_value(node, k)
-    return GNum.from_value(v)
-
-
-def eval_log(node: ExprAst, k: int) -> float:
-    return eval_at(node, k).log_value
-
-
-# ---------------------------------------------------------------------------
-# Value-domain evaluation (vectorized)
 
 
 #: The p·log2 b below which a power of a positive base reads as +0.0.
@@ -383,7 +327,8 @@ _UNDERFLOW_LOG2 = -1080.0
 
 
 def eval_value_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`eval_value` over an integer index array."""
+    """The real values at an integer index array, all finite: the one float
+    interpreter, which :func:`eval_value` reads at a single term."""
     ks = np.asarray(ks)
     if ks.size and int(ks.min()) < 1:
         raise DomainError(
@@ -431,10 +376,11 @@ def _value_array(node: ExprAst, ks: np.ndarray, scalar: bool = False) -> np.ndar
 
 
 def _power(node: ExprAst, a: np.ndarray, b: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """``a ^ b`` term by term as :func:`eval_value` reads it, filling +0.0
-    where p·log2 b < :data:`_UNDERFLOW_LOG2` (underflowing ``np.power`` takes
-    libm's slow path).  p·log2 b is bilinear, so its corners over the ranges
-    of a and b (the least base alone for p >= 0) rule most pieces out first.
+    """``a ^ b`` term by term by ``np.power``, raising where Python's ``**``
+    does and filling +0.0, as ``**`` reads it, where p·log2 b <
+    :data:`_UNDERFLOW_LOG2` (underflowing ``np.power`` takes libm's slow
+    path).  p·log2 b is bilinear, so its corners over the ranges of a and b
+    (the least base alone for p >= 0) rule most pieces out first.
     """
     if not a.size:
         return np.power(a, b)
@@ -469,6 +415,25 @@ def eval_log_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
         bad = _first(ks, vals <= 0.0)
         raise NonPositiveValue(f"sequence value must be strictly positive and finite at k={bad}")
     return np.log(vals)
+
+
+def eval_value(node: ExprAst, k: int) -> float:
+    """Plain real evaluation at integer index k (k >= 1)."""
+    return float(eval_value_array(node, np.array([_check_k(k)]))[0])
+
+
+def eval_at(node: ExprAst, k: int) -> GNum:
+    """Evaluate as a geometric number at index k (k >= 1).
+
+    A top-level ``exp(f(k))`` becomes the log f(k) without ever forming the
+    exponential; anything else is evaluated as a value and must come out
+    strictly positive (see :func:`eval_log_array`).
+    """
+    return GNum(float(eval_log_array(node, np.array([_check_k(k)]))[0]))
+
+
+def eval_log(node: ExprAst, k: int) -> float:
+    return eval_at(node, k).log_value
 
 
 # ---------------------------------------------------------------------------

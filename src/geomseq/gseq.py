@@ -400,6 +400,8 @@ def window_scan(
 def _check_index(k: int) -> int:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise IndexOutOfRange(f"sequence indices start at 1, got {k!r}")
+    if k >= 2**63:
+        raise IndexOutOfRange(f"sequence indices end at 2^63-1, got {k!r}")
     return int(k)
 
 
@@ -481,10 +483,10 @@ class GSeq:
 
     def log_points(self, ks) -> np.ndarray:
         """Float64 logs of the terms at the ascending indices ``ks``."""
+        if len(ks):  # before the int64 cast, which a huge index overflows
+            self._bounded(ks[0])
+            self._bounded(ks[-1])
         ks = np.asarray(ks, dtype=np.int64)
-        if ks.size:
-            self._bounded(int(ks[0]))
-            self._bounded(int(ks[-1]))
         if self.exact_form is not None:
             return self.exact_form.values(ks)
         with np.errstate(over="ignore"):  # a log past float64 reads as +-inf

@@ -17,6 +17,8 @@ from geomseq import GeometricError, classify, dual_test, seq_from_expr
 from geomseq.cli import dual_report_from_envelope, main, membership_report_from_envelope
 from geomseq.gdiff import MAX_ORDER
 
+from grammar import EXPRESSIONS
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -260,6 +262,21 @@ class TestErrors:
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["error"]["type"] == "IndexOutOfRange"
 
+    def test_range_at_the_int64_end(self, capsys):
+        assert main(["eval", "--seq", "exp(1/k)", "--range", "9223372036854775806..9223372036854775807"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert [row["k"] for row in json.loads(out)["rows"]] == [2**63 - 2, 2**63 - 1]
+
+    @pytest.mark.parametrize("last", ["9223372036854775808", str(2**64)])
+    def test_range_past_int64_is_a_usage_error(self, last, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--seq", "exp(1/k)", "--range", f"9223372036854775806..{last}"])
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith("range needs 1 <= start <= end <= 2^63-1\n")
+
     def test_order_cap_is_an_error(self):
         proc = run_cli("diff", "--seq", "exp(k)", "--m", "61", "--range", "1..2")
         assert proc.returncode == 1
@@ -416,29 +433,6 @@ def _error_names(cls) -> set:
     return {cls.__name__}.union(*(_error_names(sub) for sub in cls.__subclasses__()))
 
 
-def _grow(inner):
-    """One grammar step over smaller expressions: arithmetic, ``ln``, inner
-    ``exp``, non-integer and k-th powers, and sums of exponentials."""
-    return st.one_of(
-        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
-        inner.map(lambda a: f"exp({a})"),
-        inner.map(lambda a: f"ln({a})"),
-        st.tuples(inner, st.sampled_from(["0.5", "1.5", "(0-2.5)", "(1/3)", "2", "k"])).map(
-            lambda t: f"({t[0]})^{t[1]}"
-        ),
-        st.sampled_from(["2", "0.5", "e", "1e300"]).map(lambda b: f"{b}^k"),
-        st.tuples(inner, st.sampled_from("+-"), inner).map(
-            lambda t: f"exp({t[0]}){t[1]}exp({t[2]})"
-        ),
-    )
-
-
-_EXPRESSIONS = st.recursive(
-    st.sampled_from(["k", "e", "0", "1", "2", "0.5", "3.25", "710", "1e300", "1e-300"]),
-    _grow,
-    max_leaves=8,
-)
-
 #: A --logs file repeats one of these patterns of extreme logs, or of
 #: them and a line that is not a number.
 _LOG_PATTERNS = st.lists(
@@ -455,6 +449,7 @@ def _commands():
     m = st.sampled_from(["0", "1", "2", "3", str(MAX_ORDER + 1)])
     return st.one_of(
         st.just(["eval", "--range", "1..6"]),
+        st.just(["eval", "--range", "9223372036854775806..9223372036854775807"]),  # int64's end
         m.map(lambda m: ["diff", "--m", m, "--range", "1..6"]),
         st.tuples(m, N).map(lambda t: ["norm", "--m", t[0], "--N", t[1]]),
         st.tuples(st.sampled_from(["linf", "c", "c0"]), m, N).map(
@@ -476,7 +471,7 @@ class TestFullGrammar:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=200, deadline=None)
-    @given(_commands(), _EXPRESSIONS | _LOG_PATTERNS)
+    @given(_commands(), EXPRESSIONS | _LOG_PATTERNS)
     @example(["dual", "--kind", "alpha", "--m", "2", "--N", "900"], "exp(1e300*k)")
     @example(["dual", "--kind", "beta", "--m", "1", "--N", "30"], [1e308, 1e308, -1e308])
     @example(["dual", "--kind", "gamma", "--m", "1", "--N", "30"], [1e308, 1e308, -1e308])

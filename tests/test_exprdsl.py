@@ -5,9 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from geomseq import DomainError, NonPositiveValue, ParseError, parse, seq_from_expr, to_source
+from geomseq import (
+    DomainError,
+    GeometricError,
+    NonPositiveValue,
+    ParseError,
+    parse,
+    seq_from_expr,
+    to_source,
+)
 from geomseq.exprdsl import (
     MAX_NESTING,
     eval_at,
@@ -15,9 +23,11 @@ from geomseq.exprdsl import (
     eval_log_array,
     eval_value,
     eval_value_array,
+    lower_log,
 )
 
 from exact_oracle import eval_exact, eval_log_exact
+from grammar import EXPRESSIONS
 
 # fifty shapes covering every production, nesting and both shortcut forms
 CORPUS = [
@@ -236,6 +246,13 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             eval_value(parse("k"), 0)
 
+    @pytest.mark.parametrize("read", [eval_value, eval_at, eval_log])
+    def test_k_must_fit_int64(self, read):
+        assert eval_value(parse("k"), 2**63 - 1) == 2.0**63
+        for k in (2**63, 2**64, True):
+            with pytest.raises(DomainError, match=re.escape(f"1..2^63-1, got {k!r}")):
+                read(parse("k"), k)
+
 
 class TestTopLevelExpShortcut:
     """exp(f(k)) evaluates f directly in log space: no overflow, 1e-14 tight."""
@@ -357,19 +374,63 @@ def _bits(values) -> list[int]:
 @example("2.0^((0-1074.5)*k)")  # 2^-1074 at k = 1, then the fill
 @example("0.5^(1070.0+1.0*k)")  # the tie 2^-1075 at k = 5
 def test_array_power_is_the_scalar_power_bit_for_bit(src):
-    """The underflow fill and exact powers: ``np.power`` and Python's ``**``
-    differ in the last bit on other powers, so those are not drawn."""
+    """The underflow fill and exact powers against Python's ``**`` on the
+    base and exponent the array path reads: ``np.power`` and ``**`` differ
+    in the last bit on other powers, so those are not drawn."""
     ast, ks = parse(src), np.arange(1, 9)
+    bases, powers = (eval_value_array(child, ks).tolist() for child in ast.children)
     want = []
-    for k in ks:
+    for k, b, p in zip(ks.tolist(), bases, powers):
+        message = None
         try:
-            want.append(eval_value(ast, int(k)))
-        except DomainError as exc:
+            value = b**p
+        except ZeroDivisionError:
+            message = f"division by zero at k={k}"
+        except OverflowError:
+            message = f"overflow evaluating {to_source(ast)!r} at k={k}"
+        else:
+            if isinstance(value, complex):
+                message = f"invalid power in {to_source(ast)!r} at k={k}"
+        if message is not None:
             with pytest.raises(DomainError) as err:
                 eval_value_array(ast, ks)
-            assert str(err.value) == str(exc)
+            assert str(err.value) == message
             return
+        want.append(value)
     assert _bits(eval_value_array(ast, ks)) == _bits(want)
+
+
+def _read(read):
+    """The bits of a float read, or the type and message of its error."""
+    try:
+        return _bits([read()])[0]
+    except GeometricError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EXPRESSIONS, st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True))
+@example("exp(exp(1/k))", [1, 40])
+@example("exp(exp(k^(1/2))/k)", [14, 19, 22])
+@example("k*exp(1/k)", [1, 40])
+@example("2+exp(0-k/7)", [4])
+@example("ln(0.5^k)", [1, 2])
+def test_a_terms_log_does_not_depend_on_how_it_is_read(src, ks):
+    """One term's log, or its error, read alone, as a one-term array, inside
+    a whole window and as a point of the sequence, where no exact form
+    reads the points instead."""
+    ast, window = parse(src), np.arange(1, 41)
+    try:
+        logs = eval_log_array(ast, window)
+    except GeometricError:
+        logs = None  # a window that fails names its own first fault
+    for k in ks:
+        want = _read(lambda: eval_log(ast, k))
+        assert _read(lambda: eval_log_array(ast, np.array([k]))[0]) == want, k
+        if logs is not None:
+            assert _read(lambda: logs[k - 1]) == want, k
+        if lower_log(ast) is None:
+            assert _read(lambda: seq_from_expr(ast).log_points([k])[0]) == want, k
 
 
 class TestExactEvaluation:

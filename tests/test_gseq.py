@@ -85,6 +85,15 @@ class TestSequenceAccess:
         with pytest.raises(IndexOutOfRange):
             x.log_values(0, 3)
 
+    @pytest.mark.parametrize("src", ["exp(1/k)", "exp(ln(k)/k)"])
+    def test_indices_end_at_int64(self, src):
+        x = seq_from_expr(src)
+        assert x.log_points([2**63 - 1])[0] == x.term(2**63 - 1).log_value > 0.0
+        reads = (lambda: x.term(2**63), lambda: x.log_points([1, 2**63]), lambda: x.log_values(2**63 - 1, 2))
+        for read in reads:
+            with pytest.raises(IndexOutOfRange, match=r"end at 2\^63-1, got 9223372036854775808$"):
+                read()
+
     def test_buffer_length_respected(self):
         b = seq_from_logs([0.1, 0.2, 0.3])
         assert b.length == 3
