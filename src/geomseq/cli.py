@@ -340,7 +340,8 @@ def _sequence_command(args: argparse.Namespace, seq: GSeq) -> tuple[dict, int]:
 
 
 def _error_payload(exc: BaseException) -> dict:
-    payload = {"type": type(exc).__name__, "message": str(exc)}
+    kind = MemoryError if isinstance(exc, MemoryError) else type(exc)  # numpy raises a private subclass
+    payload = {"type": kind.__name__, "message": str(exc)}
     if isinstance(exc, ParseError):
         payload["offset"] = exc.offset
         payload["expected"] = list(exc.expected)
@@ -353,7 +354,7 @@ def main(argv=None) -> int:
     try:
         try:
             code = _run(args)
-        except (GeometricError, ValueError, OverflowError, LookupError, OSError) as exc:
+        except (GeometricError, ValueError, OverflowError, LookupError, OSError, MemoryError) as exc:
             print(json.dumps(_error_payload(exc), indent=2))
             code = EXIT_ERROR
         sys.stdout.flush()

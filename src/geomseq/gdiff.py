@@ -6,10 +6,12 @@ log of the m-th difference at k is the alternating binomial combination
     sum_{v=0}^{m} (-1)^v C(m, v) * ln x_{k+v}
 
 which is the classical m-fold forward difference of the logs up to the sign
-(-1)^m.  Two independent implementations are kept deliberately: the
-recursive chain is the reference oracle, the binomial form is the fast
-default, and the test suite holds them against each other.  Each reads its
-child once per window, over the count + m terms the window needs.
+(-1)^m.  The binomial view is the one implementation; it reads its child
+once per window, over the count + m terms the window needs.  The recursive
+chain is m order-1 binomial views: at m = 1 it is the same operator, and for
+m >= 2 its nested first differences round differently from the one-shot
+expansion, so it checks that expansion.  The test suite holds both against
+the classical m-fold forward difference of the logs.
 
 Polynomial exponents are the canonical stress case: the m-th difference of
 e^(k^m) is the constant e^((-1)^m * m!) and the (m+1)-st collapses to the
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import UnsupportedOrder
 from .garith import GNum
-from .gseq import ExactSum, GSeq, sup_gabs
+from .gseq import ExactSum, GSeq, _check_index, sup_gabs
 
 __all__ = [
     "MAX_ORDER",
@@ -58,26 +60,6 @@ def binomial_row(m: int) -> list[int]:
     return [math.comb(m, v) for v in range(m + 1)]
 
 
-class _DeltaStepView(GSeq):
-    """One first-order geometric difference of the parent sequence."""
-
-    def __init__(self, child: GSeq):
-        self.child = child
-        if child.exact_form is not None:
-            self.exact_form = child.exact_form.shifts([1, -1])
-
-    @property
-    def length(self) -> Optional[int]:
-        n = self.child.length
-        return None if n is None else max(0, n - 1)
-
-    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
-        if self.exact_form is not None:
-            return self.exact_form.values(starts[:, None] + np.arange(count))
-        block = self.child._windows(starts, count + 1)
-        return block[:, :-1] - block[:, 1:]
-
-
 class _DeltaBinomialView(GSeq):
     """m-th geometric difference through the alternating binomial form."""
 
@@ -97,6 +79,7 @@ class _DeltaBinomialView(GSeq):
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
         if self.exact_form is not None:
             return self.exact_form.values(starts[:, None] + np.arange(count))
+        _check_index(int(starts.max(initial=0)) + count + self.m - 1)  # before int64 wraps
         block = self.child._windows(starts, count + self.m)
         out = np.zeros((len(starts), count))
         with np.errstate(invalid="ignore"):  # inf - inf is redone below
@@ -135,12 +118,11 @@ class _DOperatorView(GSeq):
 
 
 def delta_recursive(x: GSeq, m: int) -> GSeq:
-    """Reference implementation: m chained first-order differences."""
-    m = check_order(m)
-    out = x
-    for _ in range(m):
-        out = _DeltaStepView(out)
-    return out
+    """m chained first-order differences, each an order-1 binomial view:
+    for m >= 2 a check of the one-shot expansion."""
+    for _ in range(check_order(m)):
+        x = delta_binomial(x, 1)
+    return x
 
 
 def delta_binomial(x: GSeq, m: int) -> GSeq:

@@ -622,7 +622,7 @@ class SparseLogSeq(GSeq):
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
         out = np.zeros((len(starts), count))
         for k, v in self._entries.items():
-            rows = np.flatnonzero((starts <= k) & (k < starts + count))
+            rows = np.flatnonzero((starts <= k) & (k - starts < count))  # starts + count may wrap
             out[rows, k - starts[rows]] = v
         return out
 

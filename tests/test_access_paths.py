@@ -18,7 +18,7 @@ from geomseq import (
     seq_odot,
     seq_oplus,
 )
-from geomseq.gdiff import _DeltaBinomialView, _DeltaStepView
+from geomseq.gdiff import _DeltaBinomialView
 from geomseq.gseq import SparseLogSeq
 
 #: Indices read per view stay at or below this.
@@ -93,9 +93,9 @@ def _outcome(fn, *args):
 
 def _reads_one_path(view) -> bool:
     """Windows and points agree for float views and for the difference
-    views; an exact non-difference view reads points exactly, windows in
-    float."""
-    return view.exact_form is None or isinstance(view, (_DeltaStepView, _DeltaBinomialView))
+    views, the recursive chain being order-1 binomial views; an exact
+    non-difference view reads points exactly, windows in float."""
+    return view.exact_form is None or isinstance(view, _DeltaBinomialView)
 
 
 @_settings

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -267,6 +268,40 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert err == ""
         assert [row["k"] for row in json.loads(out)["rows"]] == [2**63 - 2, 2**63 - 1]
+
+    def test_float_difference_at_the_int64_end_is_out_of_range(self, capsys):
+        argv = ["diff", "--seq", "exp(ln(k)/k)", "--m", "1", "--range", "9223372036854775807..9223372036854775807"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["error"] == {
+            "type": "IndexOutOfRange",
+            "message": "sequence indices end at 2^63-1, got 9223372036854775808",
+        }
+
+    def test_exact_difference_at_the_int64_end(self, capsys):
+        argv = ["diff", "--seq", "exp(1/k)", "--m", "1", "--range", "9223372036854775807..9223372036854775807"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["rows"][0]["log_value"] == 1.1754943508222875e-38
+
+    def test_range_too_long_to_allocate_is_an_error(self, monkeypatch, capsys):
+        class ArrayMemoryError(MemoryError):  # as numpy's private subclass
+            pass
+
+        arange = np.arange
+
+        def refusing(*args, **kwargs):
+            if len(args) > 1 and args[1] - args[0] > 2**32:
+                raise ArrayMemoryError("Unable to allocate 8.00 TiB")
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", refusing)
+        assert main(["eval", "--seq", "exp(1/k)", "--range", "1..1099511627776"]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["error"] == {"type": "MemoryError", "message": "Unable to allocate 8.00 TiB"}
 
     @pytest.mark.parametrize("last", ["9223372036854775808", str(2**64)])
     def test_range_past_int64_is_a_usage_error(self, last, capsys):

@@ -112,6 +112,30 @@ class TestGamma:
         # gamma also rejects here, but for the weaker leg; see note above
 
 
+class TestTailCondition:
+    """sum |R_k| at each window sums R_k up to that window's own end.  An
+    R_k truncated at 2N for every window shrinks to 0 as k nears 2N, so the
+    [N, 2N] increment would read low and these divergent tails finite."""
+
+    @pytest.mark.parametrize("test", [beta_dual_test, gamma_dual_test])
+    @pytest.mark.parametrize(
+        "src, kind",
+        [
+            ("exp(1/k^2)", VerdictKind.DIVERGED),  # R_k ~ 1/k
+            ("exp(1/k)", VerdictKind.DIVERGED),
+            (-1.5, VerdictKind.DIVERGED),  # a buffer of logs k^-1.5: R_k ~ 2/sqrt(k)
+            (-3.5, VerdictKind.FINITE),
+        ],
+    )
+    def test_divergent_tails_are_diverged(self, test, src, kind):
+        n = 2**15
+        if isinstance(src, str):
+            a = seq_from_expr(src)
+        else:
+            a = seq_from_logs(np.arange(1, 2 * n + 1, dtype=np.float64) ** src)
+        assert test(a, n).remainder_ok.kind is kind
+
+
 class TestDispatcher:
     def test_kind_normalization(self):
         a = seq_from_expr("exp(1/k^4)")

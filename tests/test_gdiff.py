@@ -8,6 +8,7 @@ import pytest
 
 from geomseq import (
     GNum,
+    IndexOutOfRange,
     UnsupportedOrder,
     binomial_row,
     d_operator,
@@ -116,6 +117,8 @@ class TestEquivalence:
             want = classical_forward(logs, m)[:100]
             err = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
             assert err <= 1e-12
+            # the chain shares no code with np.diff: nested differences, bit for bit
+            assert np.array_equal(delta_recursive(x, m).log_values(1, 100), want)
 
     def test_semigroup(self, rng):
         logs = rng.uniform(-3, 3, size=80)
@@ -133,6 +136,24 @@ class TestEquivalence:
         exact = [view.exact_form.exact(k) for k in range(1, 31)]
         floats = view.log_values(1, 30)
         assert np.allclose(np.array(exact, dtype=float), floats, rtol=1e-12)
+
+
+class TestIndexEnd:
+    """A difference read at int64's last index reads past it."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_float_read_past_the_end_is_out_of_range(self, m):
+        x = seq_from_expr("exp(ln(k)/k)")
+        assert x.exact_form is None
+        for view in (delta_binomial(x, m), delta_recursive(x, m)):
+            with pytest.raises(IndexOutOfRange, match=r"end at 2\^63-1, got 92233720368547758"):
+                view.log_at(2**63 - 1)
+            assert math.isfinite(view.log_at(2**63 - 1 - m))  # the last term whose read fits
+
+    def test_exact_read_at_the_end(self):
+        x = seq_from_expr("exp(1/k)")
+        for view in (delta_binomial(x, 1), delta_recursive(x, 1)):
+            assert view.log_at(2**63 - 1) == 1.1754943508222875e-38
 
 
 class TestHomomorphism:

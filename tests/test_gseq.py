@@ -122,6 +122,12 @@ class TestSequenceAccess:
         assert s.log_at(3) == 0.0
         assert list(s.log_values(1, 6)) == [0.0, 0.25, 0.0, 0.0, 0.04, 0.0]
 
+    def test_sparse_term_at_the_int64_end(self):
+        s = SparseLogSeq({2**63 - 1: 1.0})
+        assert s.log_at(2**63 - 1) == 1.0
+        assert list(s.log_values(2**63 - 2, 2)) == [0.0, 1.0]
+        assert list(s.log_points([1, 2**63 - 2, 2**63 - 1])) == [0.0, 0.0, 1.0]
+
 
 class TestExactness:
     def test_power_expressions_are_exact(self):
