@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import UnsupportedOrder
 from .garith import GNum
-from .gseq import ExactSum, GSeq, _check_index, sup_gabs
+from .gseq import ExactSum, GSeq, sup_gabs
 
 __all__ = [
     "MAX_ORDER",
@@ -79,7 +79,6 @@ class _DeltaBinomialView(GSeq):
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
         if self.exact_form is not None:
             return self.exact_form.values(starts[:, None] + np.arange(count))
-        _check_index(int(starts.max(initial=0)) + count + self.m - 1)  # before int64 wraps
         block = self.child._windows(starts, count + self.m)
         out = np.zeros((len(starts), count))
         with np.errstate(invalid="ignore"):  # inf - inf is redone below

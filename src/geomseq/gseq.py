@@ -561,6 +561,8 @@ class ExpressionSeq(GSeq):
         return f"ExpressionSeq({self.source!r})"
 
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
+        if len(starts) and count:  # before starts + count wraps past 2^63-1
+            _check_index(int(starts.max()) + count - 1)
         ks = starts[:, None] + np.arange(count)
         return exprdsl.eval_log_array(self.ast, ks.ravel()).reshape(ks.shape)
 

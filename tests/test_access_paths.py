@@ -145,6 +145,7 @@ def test_empty_reads(base):
     assert x.log_points(np.arange(1, 1)).shape == (0,)
     assert x.log_values(1, 0).shape == (0,)
     assert delta_binomial(x, 2).log_values(5, 0).shape == (0,)
+    assert d_operator(delta_recursive(x, 1), 2).log_values(1, 0).shape == (0,)
 
 
 class TestPinnedHead:
