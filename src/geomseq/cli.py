@@ -15,6 +15,11 @@ or a path to an existing file of newline-separated positive values
 (``--logs`` reads the lines as logs instead).  Numeric output is log-domain
 under ``log_value`` plus a rendering ``e^{...}``.
 
+Every output is one envelope: ``command``, ``inputs``, then the command's
+body.  ``inputs`` echoes the command's own arguments among seq, which, space,
+kind, m, range, N and tol, in that order, the range as ``a..b`` and the kind
+as ``dual_test`` reports it (``alpha_alpha`` for ``alpha-alpha``).
+
 Exit status: 0 definite verdict, 2 inconclusive, 1 error, 64 usage.
 """
 
@@ -183,44 +188,41 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+#: The arguments ``inputs`` echoes, in this order, where the command takes them.
+_INPUTS = ("seq", "which", "space", "kind", "m", "range", "N", "tol")
+
 #: Verdict keys the classify and dual envelopes move to their diagnostics.
 _DIAGNOSTICS = ("probe_N", "probe_2N", "note")
 
 
-def _verdict_envelope(name: str, report, args) -> dict:
+def _envelope(args, **body) -> dict:
+    """``{"command", "inputs", **body}``, the one shape of every output."""
+    given = vars(args)
+    inputs = {key: given[key] for key in _INPUTS if key in given}
+    if "range" in inputs:
+        inputs["range"] = "{}..{}".format(*inputs["range"])
+    if "kind" in inputs:
+        inputs["kind"] = inputs["kind"].replace("-", "_")  # as dual_test reports it
+    return {"command": args.command, "inputs": inputs, **body}
+
+
+def _verdict_envelope(report, args) -> dict:
     """The classify/dual envelope of a report: the verdict split into its
-    decision and its diagnostics, the report's ``name`` and m under inputs."""
+    decision and its diagnostics; its space or kind and m are the inputs'."""
     d = report.to_dict()
     verdict = d.pop("verdict")
     diagnostics = {key: verdict.pop(key) for key in _DIAGNOSTICS}
-    env = {
-        "command": args.command,
-        "inputs": {
-            "seq": args.seq,
-            name: d.pop(name),
-            "m": d.pop("m"),
-            "N": args.N,
-            "tol": args.tol,
-        },
-        "verdict": verdict,
-        "diagnostics": diagnostics,
-        "witness_index": d.pop("witness_index", None),
-        "member": report.member,
-    }
-    d.pop("window", None)  # the verdict block carries the window
-    return {**env, **d}
+    witness = d.pop("witness_index", None)
+    for key in ("space", "kind", "m", "window"):  # the verdict block carries the window
+        d.pop(key, None)
+    return _envelope(args, verdict=verdict, diagnostics=diagnostics, witness_index=witness,
+                     member=report.member, **d)
 
 
 def _report_from_envelope(cls, name: str, env: dict):
-    return cls.from_dict(
-        {
-            **env,
-            name: env["inputs"][name],
-            "m": env["inputs"]["m"],
-            "verdict": {**env["verdict"], **env["diagnostics"]},
-            "window": env["verdict"]["window"],
-        }
-    )
+    inputs, verdict = env["inputs"], {**env["verdict"], **env["diagnostics"]}
+    return cls.from_dict({**env, name: inputs[name], "m": inputs["m"], "verdict": verdict,
+                          "window": verdict["window"]})
 
 
 def membership_report_from_envelope(env: dict) -> MembershipReport:
@@ -233,13 +235,12 @@ def dual_report_from_envelope(env: dict) -> DualReport:
     return _report_from_envelope(DualReport, "kind", env)
 
 
-def _rows_envelope(args, seq: GSeq, **inputs) -> dict:
+def _rows_envelope(args, seq: GSeq) -> dict:
     """The eval/diff envelope: the logs of ``seq`` over ``args.range``."""
     lo, hi = args.range
     logs = seq.log_points(np.arange(lo, hi + 1, dtype=np.int64)).tolist()
     rows = [{"k": k, "log_value": v, "rendering": GNum(v).render()} for k, v in enumerate(logs, lo)]
-    inputs = {"seq": args.seq, **inputs, "range": f"{lo}..{hi}"}
-    return {"command": args.command, "inputs": inputs, "rows": rows}
+    return _envelope(args, rows=rows)
 
 
 def _csv_value(v) -> str:
@@ -289,12 +290,7 @@ def _run(args: argparse.Namespace) -> int:
         demo = inclusion_demo if args.which == "inclusion" else algebra_counterexample
         report = demo(args.m, args.N, args.tol)
         body = report.to_dict()
-        env = {
-            "command": "demo",
-            "inputs": {"which": args.which, "m": args.m, "N": args.N, "tol": args.tol},
-            "holds": report.holds,
-            "report": body,
-        }
+        env = _envelope(args, holds=report.holds, report=body)
         # the nested objects of a demo report are its membership reports
         kinds = [sub["verdict"]["kind"] for sub in body.values() if isinstance(sub, dict)]
         code = _exit_for(*kinds)
@@ -309,34 +305,23 @@ def _sequence_command(args: argparse.Namespace, seq: GSeq) -> tuple[dict, int]:
     if args.command == "eval":
         return _rows_envelope(args, seq), EXIT_OK
     if args.command == "diff":
-        return _rows_envelope(args, delta_binomial(seq, args.m), m=args.m), EXIT_OK
+        return _rows_envelope(args, delta_binomial(seq, args.m)), EXIT_OK
     if args.command == "norm":
         g = delta_norm(seq, args.m, args.N)
-        env = {
-            "command": "norm",
-            "inputs": {"seq": args.seq, "m": args.m, "N": args.N, "tol": args.tol},
-            "log_value": g.log_value,
-            "rendering": g.render(),
-        }
-        return env, EXIT_OK
+        return _envelope(args, log_value=g.log_value, rendering=g.render()), EXIT_OK
     if args.command == "lemma":
         report = lemma_equivalence_check(seq, args.N, args.tol)
-        env = {
-            "command": "lemma",
-            "inputs": {"seq": args.seq, "N": args.N, "tol": args.tol},
-            "agreement": report.agreement,
-            "has_inconclusive": report.has_inconclusive,
-            "cond_a": report.cond_a.to_dict(),
-            "cond_b_i": report.cond_b_i.to_dict(),
-            "cond_b_ii": report.cond_b_ii.to_dict(),
-            "window": report.window,
-        }
+        env = _envelope(
+            args, agreement=report.agreement, has_inconclusive=report.has_inconclusive,
+            cond_a=report.cond_a.to_dict(), cond_b_i=report.cond_b_i.to_dict(),
+            cond_b_ii=report.cond_b_ii.to_dict(), window=report.window,
+        )
         return env, EXIT_INCONCLUSIVE if report.has_inconclusive else EXIT_OK
     if args.command == "classify":
-        name, report = "space", classify(seq, args.space, args.m, args.N, args.tol)
+        report = classify(seq, args.space, args.m, args.N, args.tol)
     else:
-        name, report = "kind", dual_test(seq, args.kind, args.m, args.N, args.tol)
-    return _verdict_envelope(name, report, args), _exit_for(report.verdict.kind.value)
+        report = dual_test(seq, args.kind, args.m, args.N, args.tol)
+    return _verdict_envelope(report, args), _exit_for(report.verdict.kind.value)
 
 
 def _error_payload(exc: BaseException) -> dict:

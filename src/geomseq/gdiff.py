@@ -78,7 +78,7 @@ class _DeltaBinomialView(GSeq):
 
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
         if self.exact_form is not None:
-            return self.exact_form.values(starts[:, None] + np.arange(count))
+            return self.exact_form.values(self._grid(starts, count))
         block = self.child._windows(starts, count + self.m)
         out = np.zeros((len(starts), count))
         with np.errstate(invalid="ignore"):  # inf - inf is redone below

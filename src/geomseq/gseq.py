@@ -206,27 +206,20 @@ def series_verdict(
     the sup of |S| through 2N, and the (min, max) of S over [N/2, N] and
     over [N, 2N].  Convergent iff S is Cauchy-flat (oscillation max - min
     below tol) over both."""
-    if mag > LOG_MAGNITUDE_LIMIT:
-        return Verdict(
-            VerdictKind.DIVERGED, None, n, s_n, s_2n,
-            "partial sums beyond the log magnitude limit",
-        )
-    osc1 = float(range1[1] - range1[0])
-    osc2 = float(range2[1] - range2[0])
-    if osc1 < tol and osc2 < tol:
-        return Verdict(
-            VerdictKind.FINITE, GNum(s_2n), n, s_n, s_2n,
-            "partial sums Cauchy-flat over both half-windows",
-        )
-    if osc1 >= tol and osc2 >= 0.5 * osc1:
-        return Verdict(
-            VerdictKind.DIVERGED, None, n, s_n, s_2n,
-            f"partial-sum oscillation persists ({osc1:.3g} then {osc2:.3g})",
-        )
-    return Verdict(
-        VerdictKind.INCONCLUSIVE, None, n, s_n, s_2n,
-        "oscillation shrinking but not resolved at this window",
-    )
+    if mag > LOG_MAGNITUDE_LIMIT:  # decided first: max - min there may be inf - inf
+        kind, why = VerdictKind.DIVERGED, "partial sums beyond the log magnitude limit"
+    else:
+        osc1, osc2 = float(range1[1] - range1[0]), float(range2[1] - range2[0])
+        if osc1 < tol and osc2 < tol:
+            kind, why = VerdictKind.FINITE, "partial sums Cauchy-flat over both half-windows"
+        elif osc1 >= tol and osc2 >= 0.5 * osc1:
+            kind, why = VerdictKind.DIVERGED, (
+                f"partial-sum oscillation persists ({osc1:.3g} then {osc2:.3g})"
+            )
+        else:
+            kind, why = VerdictKind.INCONCLUSIVE, "oscillation shrinking but not resolved at this window"
+    estimate = GNum(s_2n) if kind is VerdictKind.FINITE else None
+    return Verdict(kind, estimate, n, s_n, s_2n, why)
 
 
 def check_window(N: int, tol: float) -> None:
@@ -543,6 +536,13 @@ class GSeq:
         ``j < count``, as a ``(len(starts), count)`` array."""
         raise NotImplementedError
 
+    @staticmethod
+    def _grid(starts: np.ndarray, count: int) -> np.ndarray:
+        """The int64 indices ``starts[i] + j`` of a window read."""
+        if len(starts) and count:  # before starts + count wraps past 2^63-1
+            _check_index(int(starts.max()) + count - 1)
+        return starts[:, None] + np.arange(count)
+
 
 class ExpressionSeq(GSeq):
     """Closed-form sequence defined by DSL source text (or a parsed AST)."""
@@ -561,9 +561,7 @@ class ExpressionSeq(GSeq):
         return f"ExpressionSeq({self.source!r})"
 
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
-        if len(starts) and count:  # before starts + count wraps past 2^63-1
-            _check_index(int(starts.max()) + count - 1)
-        ks = starts[:, None] + np.arange(count)
+        ks = self._grid(starts, count)
         return exprdsl.eval_log_array(self.ast, ks.ravel()).reshape(ks.shape)
 
 
@@ -612,7 +610,7 @@ class SparseLogSeq(GSeq):
     """Geometric zero everywhere except finitely many stored logs."""
 
     def __init__(self, entries: dict[int, float]):
-        self._entries = {int(k): float(v) for k, v in entries.items()}
+        self._entries = {_check_index(int(k)): float(v) for k, v in entries.items()}
 
     def __repr__(self) -> str:
         return f"SparseLogSeq(<{len(self._entries)} nonzero terms>)"

@@ -202,6 +202,28 @@ class TestEnvelopeKeys:
             ]),
         ]
 
+    @pytest.mark.parametrize(
+        "argv, inputs",
+        [
+            (["eval", "--seq", "exp(1/k)", "--range", "1..5"], ["seq", "range"]),
+            (["diff", "--seq", "exp(k^2)", "--m", "2", "--range", "1..5"], ["seq", "m", "range"]),
+        ],
+    )
+    def test_rows(self, argv, inputs):
+        env = run_json(*argv)
+        assert keys(env) == ["command", ("inputs", inputs), "rows"]
+        assert env["inputs"]["range"] == "1..5"
+        assert [row["k"] for row in env["rows"]] == [1, 2, 3, 4, 5]
+
+    def test_norm(self):
+        env = run_json("norm", "--seq", "exp(k)", "--m", "1", "--N", "1000")
+        assert keys(env) == [
+            "command",
+            ("inputs", ["seq", "m", "N", "tol"]),
+            "log_value",
+            "rendering",
+        ]
+
 
 class TestFileInput:
     def test_values_file(self, tmp_path):

@@ -155,6 +155,14 @@ class TestIndexEnd:
         for view in (delta_binomial(x, 1), delta_recursive(x, 1)):
             assert view.log_at(2**63 - 1) == 1.1754943508222875e-38
 
+    @pytest.mark.parametrize("exact_first", [True, False])
+    def test_float_read_over_an_exact_difference(self, exact_first):
+        exact = delta_binomial(seq_from_expr("exp(1/k)"), 1)
+        x = seq_from_expr("exp(ln(k)/k)")
+        both = seq_oplus(exact, x) if exact_first else seq_oplus(x, exact)
+        with pytest.raises(IndexOutOfRange, match=r"end at 2\^63-1, got 9223372036854775808$"):
+            delta_binomial(both, 1).log_at(2**63 - 1)
+
 
 class TestHomomorphism:
     def test_additivity(self, rng):

@@ -57,6 +57,7 @@ from geomseq.gseq import (
     _chunk_total,
     conjunction,
     monotone_verdict,
+    series_verdict,
     signed_series_verdict,
 )
 from exact_sums import exact_prefix_sums
@@ -127,6 +128,14 @@ class TestSequenceAccess:
         assert s.log_at(2**63 - 1) == 1.0
         assert list(s.log_values(2**63 - 2, 2)) == [0.0, 1.0]
         assert list(s.log_points([1, 2**63 - 2, 2**63 - 1])) == [0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [(2**64, r"end at 2\^63-1, got 18446744073709551616$"), (0, "start at 1, got 0$")],
+    )
+    def test_sparse_keys_are_indices(self, key, message):
+        with pytest.raises(IndexOutOfRange, match=message):
+            SparseLogSeq({5: 1.0, key: 3.0})
 
 
 class TestExactness:
@@ -286,6 +295,29 @@ class TestVerdictProtocol:
         partials = np.where(np.arange(200) % 2 == 0, 1.0, 0.0)
         v = signed_series_verdict(partials, 100, 1e-6)
         assert v.kind is VerdictKind.DIVERGED
+
+    @pytest.mark.parametrize(
+        "mag, range1, range2, kind, note",
+        [
+            (2e6, (np.inf, np.inf), (np.inf, np.inf), VerdictKind.DIVERGED,
+             "partial sums beyond the log magnitude limit"),
+            (3.0, (3.0, 3.0), (3.0, 3.0), VerdictKind.FINITE,
+             "partial sums Cauchy-flat over both half-windows"),
+            (1.0, (0.0, 1.0), (0.0, 1.0), VerdictKind.DIVERGED,
+             "partial-sum oscillation persists (1 then 1)"),
+            (1.0, (0.0, 1.0), (0.0, 0.25), VerdictKind.INCONCLUSIVE,
+             "oscillation shrinking but not resolved at this window"),
+            (2.0, (1.0, 1.0), (1.0, 2.0), VerdictKind.INCONCLUSIVE,
+             "oscillation shrinking but not resolved at this window"),
+        ],
+        ids=["magnitude", "flat", "persistent", "shrinking", "flat-then-jump"],
+    )
+    def test_series_branches(self, mag, range1, range2, kind, note):
+        # numpy floats, as signed_series_verdict passes: their inf - inf warns
+        range1, range2 = np.array(range1), np.array(range2)
+        v = series_verdict(1.0, 1.5, mag, range1, range2, 100, 1e-6)
+        assert (v.kind, v.note) == (kind, note)
+        assert (v.estimate is None) is (kind is not VerdictKind.FINITE)
 
     def test_signed_needs_doubled_window(self):
         with pytest.raises(ValueError):

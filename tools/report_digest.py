@@ -59,6 +59,9 @@ CLI_COMMANDS = [
     ["dual", "--kind", "alpha-alpha", "--m", "1", "--seq", "exp(k)", "--N", "10000"],
     ["demo", "--which", "algebra", "--m", "3", "--format", "csv"],
     ["lemma", "--seq", "exp(1/k)", "--N", "10000", "--format", "csv"],
+    ["eval", "--seq", "exp(1/k)", "--range", "1..5", "--format", "csv"],
+    ["diff", "--seq", "exp(k^2)", "--m", "2", "--range", "1..5", "--format", "csv"],
+    ["norm", "--seq", "exp(k)", "--m", "1", "--N", "1000", "--format", "csv"],
     ["classify", "--seq", "exp(1/k)", "--space", "c", "--m", "0", "--N", "10000"],
     ["classify", "--seq", "exp(1/k)", "--space", "c0", "--m", "1", "--N", "10000"],
     ["eval", "--seq", "exp(k^"],
