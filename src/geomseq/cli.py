@@ -29,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -95,6 +96,8 @@ def _tol_type(text: str) -> float:
     t = float(text)
     if not t > 0:
         raise argparse.ArgumentTypeError("tol must be positive")
+    if t == math.inf:
+        raise argparse.ArgumentTypeError("tol must be finite")
     return t
 
 

@@ -30,6 +30,7 @@ import numpy as np
 
 from .codec import Report, json_key
 from .errors import NoSubsequenceFound, UnsupportedOrder
+from .exprdsl import float_index
 from .garith import GNum
 from .gdiff import check_order
 from .gseq import (
@@ -114,7 +115,7 @@ class _PartialSums:
 
     def add(self, k: int, logs: np.ndarray) -> None:
         if math.isfinite(self.carry):
-            s = np.arange(k, k + len(logs), dtype=np.float64)
+            s = float_index(k, len(logs))
             with np.errstate(over="ignore", invalid="ignore"):
                 s *= logs
                 s[0] = self.carry + s[0]

@@ -16,7 +16,9 @@ directly, so e^(k^4) never exists as a float value.  Inner ``exp`` nodes
 evaluate numerically and may overflow to a :class:`DomainError`.  A float
 power b^p with b > 0 and p·log2 b < -1080 is +0.0, what Python's ``**``
 gives, without computing it: a power under 2^-1075 rounds to zero, and the
-five-binade margin covers the rounding of p·log2 b and of ``pow``.
+five-binade margin covers the rounding of p·log2 b and of ``pow``.  ``k^p``
+with a constant integer p >= 2 is the product of p copies of k while the
+largest k^p is below 2^53: exact, so the same bits as ``pow``.
 
 One ASCII-only regular expression scans the source; any character it
 does not take as whitespace, a number, a name or an operator is an error at
@@ -25,10 +27,16 @@ computes, for the evaluator and the lowering alike.
 
 One float evaluator and one lowering share the AST:
 
-* :func:`eval_value_array` reads the values over an index array and
+* :func:`eval_value_array` reads the values over an index array (or a
+  ``range``, whose float index below 2^53 is one add to a shared array) and
   :func:`eval_log_array` the logs, with the top-level exp shortcut;
   :func:`eval_value`, :func:`eval_at` and :func:`eval_log` read one term as
-  a one-term array, so a term's bits do not depend on how it is asked for;
+  a one-term array, so a term's bits do not depend on how it is asked for.
+  Each read runs the interpreter once without its per-node checks, under
+  trapping divide, overflow and invalid float flags, and checks only that
+  the result is finite.  Only when a flag fires or the result is not finite
+  does it replay the interpreter with every check, which raises the error
+  or returns the values;
 * :func:`lower_log` turns the log of the term into one exact rational
   function of k where the structure allows (rational exponents under exp,
   integer powers, products), for difference operators to cancel exactly.
@@ -325,21 +333,114 @@ def _check_k(k: int) -> int:
 #: The p·log2 b below which a power of a positive base reads as +0.0.
 _UNDERFLOW_LOG2 = -1080.0
 
+#: Every integer up to here is a float64, so float indices below it and
+#: products of them below it are exact.
+_EXACT_INTS = 2**53
 
-def eval_value_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
-    """The real values at an integer index array, all finite: the one float
-    interpreter, which :func:`eval_value` reads at a single term."""
+#: The constant exponents p that ``k^p`` may take as a product of p copies
+#: of k, by float: past p = 52 every k >= 2 has k^p beyond 2^53.
+_PRODUCTS = {float(p): p for p in range(2, 53)}
+
+#: Terms of the longest index range whose float index is one add to a
+#: shared array: one window-scan piece (``gseq.SUM_CHUNK``).
+INDEX_SPAN = 1 << 14
+_OFFSETS = np.arange(INDEX_SPAN, dtype=np.float64)
+
+
+def float_index(lo: int, n: int) -> np.ndarray:
+    """The float64 indices lo .. lo+n-1 as a new array, bit for bit as
+    ``np.arange(lo, lo + n, dtype=float64)`` gives them.  Up to 2^53 they
+    are exact, and so is adding lo to the shared offsets 0 .. n-1."""
+    if n <= INDEX_SPAN and lo + n <= _EXACT_INTS:
+        return _OFFSETS[:n] + float(lo)
+    return np.arange(lo, lo + n, dtype=np.float64)
+
+
+def _indices(ks) -> tuple[np.ndarray, np.ndarray | range]:
+    """The float index of ``ks`` and, for the replay's messages, the indices
+    themselves: an integer array, or a ``range`` of step 1, whose float
+    index up to 2^53 needs no int64 array.  Each index must be an integer
+    in 1..2^63-1."""
+    if isinstance(ks, range) and ks.step == 1:
+        if len(ks) and ks.start < 1:
+            raise DomainError(f"sequence indices must be positive integers, got {ks.start}")
+        if ks.stop <= _EXACT_INTS:
+            return float_index(ks.start, len(ks)), ks
+        if len(ks):
+            _check_k(ks[-1])
+        ks = ks.start + np.arange(len(ks), dtype=np.int64)
     ks = np.asarray(ks)
+    if not np.issubdtype(ks.dtype, np.integer):  # a bool or a float is no index
+        ks = np.array([_check_k(k) for k in ks.ravel().tolist()], dtype=np.int64).reshape(ks.shape)
     if ks.size and int(ks.min()) < 1:
-        raise DomainError(
-            f"sequence indices must be positive integers, got {int(ks.min())}"
-        )
+        raise DomainError(f"sequence indices must be positive integers, got {int(ks.min())}")
+    if ks.size and int(ks.max()) >= 2**63:
+        _check_k(int(ks.max()))
+    return ks.astype(np.float64), ks
+
+
+def eval_value_array(node: ExprAst, ks) -> np.ndarray:
+    """The real values at an integer index array (or ``range``), all finite:
+    the one float interpreter, which :func:`eval_value` reads at a single
+    term."""
+    return _evaluate(node, ks, log=False)
+
+
+def eval_log_array(node: ExprAst, ks) -> np.ndarray:
+    """Vectorized log-domain evaluation with the top-level exp shortcut: the
+    log of ``exp(f)`` is the value of f, anything else is evaluated as a
+    value and must come out strictly positive."""
+    return _evaluate(node, ks, log=True)
+
+
+def _target(node: ExprAst, log: bool) -> tuple[ExprAst, bool]:
+    """The node whose values a read evaluates, and whether it takes their
+    log: the log of ``exp(f)`` is the value of f."""
+    if log and node.kind == "exp":
+        return node.children[0], False
+    return node, log
+
+
+def _evaluate(node: ExprAst, ks, log: bool) -> np.ndarray:
+    """The values, or with ``log`` the logs, at the indices ``ks``: one
+    unchecked pass under trapping float flags, replayed by :func:`_checked`
+    only on a flag or a result that is not finite (Demmel and Li, *Faster
+    numerical algorithms via exception handling*, IEEE Trans. Comput. 43,
+    1994).  Index and literals are finite, so each fault a check looks for
+    (a zero divisor, an inner ``exp`` or a result past float64, ``ln`` or
+    log of a value <= 0, a faulting power) raises a flag where it is made;
+    the replay also returns values a flag ends in, as 1/(k^400) reads 0.0
+    past the overflow of k^400.  An underflow is no fault."""
+    x, ks = _indices(ks)
+    target, log = _target(node, log)
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            vals = _value_array(target, x)
+            if np.isfinite(vals).all():
+                return np.log(vals) if log else vals
+    except FloatingPointError:
+        pass
+    if isinstance(ks, range):
+        ks = np.arange(ks.start, ks.stop, dtype=np.int64)
+    return _checked(target, x, ks, log)
+
+
+def _checked(node: ExprAst, x: np.ndarray, ks: np.ndarray, log: bool) -> np.ndarray:
+    """:func:`_evaluate`'s replay, and the reference its first pass is held
+    to: the interpreter with every check, at the float index ``x`` of the
+    int64 indices ``ks``."""
+    target, log = _target(node, log)
     with np.errstate(all="ignore"):
-        vals = _value_array(node, ks)
+        vals = _value_array(target, x, ks)
     if not np.all(np.isfinite(vals)):
         bad = _first(ks, ~np.isfinite(vals))
-        raise DomainError(f"overflow evaluating {to_source(node)!r} at k={bad}")
-    return vals
+        raise DomainError(f"overflow evaluating {to_source(target)!r} at k={bad}")
+    if not log:
+        return vals
+    if np.any(vals <= 0.0):
+        bad = _first(ks, vals <= 0.0)
+        raise NonPositiveValue(f"sequence value must be strictly positive and finite at k={bad}")
+    return np.log(vals)
 
 
 def _first(ks: np.ndarray, mask: np.ndarray) -> int:
@@ -347,53 +448,73 @@ def _first(ks: np.ndarray, mask: np.ndarray) -> int:
     return int(ks[np.nonzero(mask)[0][0]])
 
 
-def _value_array(node: ExprAst, ks: np.ndarray, scalar: bool = False) -> np.ndarray:
+def _value_array(
+    node: ExprAst, x: np.ndarray, ks: np.ndarray | None = None, scalar: bool = False
+) -> np.ndarray:
+    """The values of ``node`` at the float index ``x``; given the int index
+    ``ks`` (the replay), each node also checks its own faults and names the
+    first index that has one."""
     kind = node.kind
     if kind in ("const", "e"):  # a float64 scalar, if asked, reads as its full array in + - * /
         value = np.float64(math.e if kind == "e" else node.value)
-        return value if scalar else np.full(ks.shape, value)
+        return value if scalar else np.full(x.shape, value)
     if kind == "k":
-        return ks.astype(np.float64)
+        return x
     if kind == "pow":  # full arrays: numpy's scalar-exponent powers differ in the last bit
-        return _power(node, *(_value_array(child, ks) for child in node.children), ks)
+        return _power(node, *(_value_array(child, x, ks) for child in node.children), ks)
     if kind in _ARITH:
-        a, b = (_value_array(child, ks, scalar=True) for child in node.children)
-        if kind == "div" and np.any(b == 0.0) and ks.size:
-            raise DomainError(f"division by zero at k={_first(ks, np.broadcast_to(b == 0.0, ks.shape))}")
+        a, b = (_value_array(child, x, ks, scalar=True) for child in node.children)
+        if ks is not None and kind == "div" and np.any(b == 0.0) and x.size:
+            raise DomainError(f"division by zero at k={_first(ks, np.broadcast_to(b == 0.0, x.shape))}")
         out = _ARITH[kind](a, b)
-        return out if isinstance(out, np.ndarray) else np.full(ks.shape, out)
+        return out if isinstance(out, np.ndarray) else np.full(x.shape, out)
     if kind == "exp":
-        out = np.exp(_value_array(node.children[0], ks))
-        if not np.all(np.isfinite(out)):
+        out = np.exp(_value_array(node.children[0], x, ks))
+        if ks is not None and not np.all(np.isfinite(out)):
             raise DomainError(f"inner exp overflow at k={_first(ks, ~np.isfinite(out))}")
         return out
     if kind == "ln":
-        a = _value_array(node.children[0], ks)
-        if np.any(a <= 0.0):
+        a = _value_array(node.children[0], x, ks)
+        if ks is not None and np.any(a <= 0.0):
             raise DomainError(f"ln of non-positive value at k={_first(ks, a <= 0.0)}")
         return np.log(a)
     raise DomainError(f"unknown node kind {kind!r}")
 
 
-def _power(node: ExprAst, a: np.ndarray, b: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """``a ^ b`` term by term by ``np.power``, raising where Python's ``**``
-    does and filling +0.0, as ``**`` reads it, where p·log2 b <
-    :data:`_UNDERFLOW_LOG2` (underflowing ``np.power`` takes libm's slow
+def _power(node: ExprAst, a: np.ndarray, b: np.ndarray, ks: np.ndarray | None) -> np.ndarray:
+    """``a ^ b`` term by term by ``np.power``, raising (given ``ks``) where
+    Python's ``**`` does and filling +0.0, as ``**`` reads it, where p·log2 b
+    < :data:`_UNDERFLOW_LOG2` (underflowing ``np.power`` takes libm's slow
     path).  p·log2 b is bilinear, so its corners over the ranges of a and b
     (the least base alone for p >= 0) rule most pieces out first.
+
+    ``k^p`` for a constant integer p >= 2 is the product of p copies of k
+    while the largest k^p is below 2^53: every partial product is then an
+    integer float64 holds, so the product is exact and equals ``pow``'s
+    exactly rounded result.
     """
     if not a.size:
         return np.power(a, b)
-    exponent = node.children[1]
-    ps = (exponent.value,) if exponent.kind == "const" else (float(b.min()), float(b.max()))
+    base, exponent = node.children
+    if exponent.kind == "const":
+        p = _PRODUCTS.get(exponent.value) if base.kind == "k" else None
+        if p is not None and int(a.max()) ** p < _EXACT_INTS:
+            out = a * a
+            for _ in range(p - 2):
+                out *= a
+            return out
+        ps = (exponent.value,)
+    else:
+        ps = (float(b.min()), float(b.max()))
     lo = float(a.min())
     if lo > 0.0:
         bases = (lo,) if min(ps) >= 0.0 else (lo, float(a.max()))
         if all(math.log2(u) * p >= _UNDERFLOW_LOG2 for u in bases for p in ps):
             return np.power(a, b)
-    fill = (a > 0.0) & (b * np.log2(a) < _UNDERFLOW_LOG2)
+    with np.errstate(all="ignore"):  # the fill mask is no value: a base <= 0 is no fault here
+        fill = (a > 0.0) & (b * np.log2(a) < _UNDERFLOW_LOG2)
     out = np.power(a, b, out=np.zeros(a.shape), where=~fill)
-    if not lo > 0.0:  # a zero or negative base (or NaN) may fault
+    if ks is not None and not lo > 0.0:  # a zero or negative base (or NaN) may fault
         zero = (a == 0.0) & (b < 0.0) & np.isfinite(b)  # 0.0 ** -inf is inf
         bad = zero | (np.isnan(out) & ~np.isnan(a) & ~np.isnan(b))
         if bad.any():
@@ -401,20 +522,6 @@ def _power(node: ExprAst, a: np.ndarray, b: np.ndarray, ks: np.ndarray) -> np.nd
             what = "division by zero" if zero[i] else f"invalid power in {to_source(node)!r}"
             raise DomainError(f"{what} at k={int(ks[i])}")
     return out
-
-
-def eval_log_array(node: ExprAst, ks: np.ndarray) -> np.ndarray:
-    """Vectorized log-domain evaluation with the top-level exp shortcut.
-
-    :func:`eval_value_array` returns finite values only.
-    """
-    if node.kind == "exp":
-        return eval_value_array(node.children[0], ks)
-    vals = eval_value_array(node, ks)
-    if np.any(vals <= 0.0):
-        bad = _first(ks, vals <= 0.0)
-        raise NonPositiveValue(f"sequence value must be strictly positive and finite at k={bad}")
-    return np.log(vals)
 
 
 def eval_value(node: ExprAst, k: int) -> float:

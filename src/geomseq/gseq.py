@@ -223,17 +223,26 @@ def series_verdict(
 
 
 def check_window(N: int, tol: float) -> None:
-    """Reject a probe window below 4 or a tolerance that is not positive."""
+    """Reject a probe window below 4 or a tolerance that is not positive and
+    finite."""
     if not isinstance(N, int) or N < 4:
         raise ValueError(f"the probe window needs N >= 4, got {N!r}")
+    _check_tol(tol)
+
+
+def _check_tol(tol: float) -> None:
+    """An infinite tol would call every statistic stable."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
+    if tol == math.inf:
+        raise ValueError(f"tol must be finite, got {tol!r}")
 
 
 #: Terms per chunk of every window scan (:meth:`GSeq.log_chunks`) and of
 #: :class:`ExactSum`.  A chunk's temporaries are a few 128 KB arrays, so
-#: memory does not grow with N.
-SUM_CHUNK = 1 << 14
+#: memory does not grow with N, and its float index is one add to a shared
+#: array (:func:`geomseq.exprdsl.float_index`).
+SUM_CHUNK = exprdsl.INDEX_SPAN
 
 # A finite float64 is m * 2^(e - 53) with m a 53-bit integer and frexp's
 # exponent e >= -1073, so every term is a whole multiple of 2^-1126.
@@ -360,14 +369,24 @@ def window_ends(N: int, first: int = 1) -> tuple[int, int, int]:
 
 def _weighted_abs(k: int, logs: np.ndarray, weight: float) -> np.ndarray:
     """k^weight |logs|, ``logs[0]`` being term k.  Past float64 a term is
-    inf, and an inf weight on a zero log adds nothing."""
+    inf, and an inf weight on a zero log adds nothing.
+
+    Weights 2 and 3 are products of k while the last k^w is below 2^53,
+    exact and so equal to ``np.power``.  Only a positive weight overflows,
+    at the last k first."""
     vals = np.abs(logs)
     if weight == 0.0:
         return vals
-    ks = np.arange(k, k + len(logs), dtype=np.float64)
+    n = len(logs)
+    kw = exprdsl.float_index(k, n)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals *= ks if weight == 1.0 else np.power(ks, weight, out=ks)
-    vals[logs == 0.0] = 0.0
+        if weight in (2.0, 3.0) and (k + n - 1) ** int(weight) < 2**53:
+            kw = kw * kw if weight == 2.0 else kw * kw * kw
+        elif weight != 1.0:
+            np.power(kw, weight, out=kw)
+        vals *= kw
+    if n and kw[-1] == math.inf:
+        vals[logs == 0.0] = 0.0
     return vals
 
 
@@ -561,6 +580,10 @@ class ExpressionSeq(GSeq):
         return f"ExpressionSeq({self.source!r})"
 
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
+        if len(starts) == 1 and count:  # one window: a range, read with no int64 grid
+            lo = int(starts[0])
+            _check_index(lo + count - 1)
+            return exprdsl.eval_log_array(self.ast, range(lo, lo + count))[None]
         ks = self._grid(starts, count)
         return exprdsl.eval_log_array(self.ast, ks.ravel()).reshape(ks.shape)
 
@@ -777,8 +800,7 @@ def remainder(
         raise ValueError(f"tail start must be a nonnegative integer, got {n!r}")
     if not isinstance(N, int) or N <= n + 1:
         raise ValueError(f"window N must exceed n + 1, got N={N!r}, n={n!r}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     t_half, t_n, t_2n = window_scan(a, n + 1, window_ends(N, n + 1), ExactSum())
     tail = GNum(t_n)
     d2 = abs(t_2n - t_n)

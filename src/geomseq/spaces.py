@@ -28,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .codec import Report, json_key
+from .exprdsl import float_index
 from .garith import GNum
 from .gdiff import check_order, delta_binomial
 from .gseq import (
@@ -199,7 +200,7 @@ class _PairSups:
         pair = np.concatenate([self.before, logs])
         head, tail = pair[:-1], pair[1:]
         k0 = k - len(self.before)
-        ks = np.arange(k0, k0 + len(head), dtype=np.float64)
+        ks = float_index(k0, len(head))
         with np.errstate(over="ignore"):  # a difference past float64 is unbounded
             self.tops[0].add(k0, np.abs(head - tail))
             self.tops[1].add(k0, np.abs(head) / ks)

@@ -378,6 +378,18 @@ class TestUsage:
         proc = run_cli()
         assert proc.returncode == 64
 
+    @pytest.mark.parametrize(
+        "tol, message",
+        [("inf", "finite"), ("1e400", "finite"), ("nan", "positive"), ("0", "positive")],
+    )
+    def test_tol_must_be_positive_and_finite(self, tol, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--seq", "exp(k)", "--space", "linf", "--m", "0", "--N", "100", "--tol", tol])
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"argument --tol: tol must be {message}\n")
+
 
 class TestRobustness:
     def test_literal_beyond_float64_is_a_parse_error(self):

@@ -16,13 +16,16 @@ from geomseq import (
     seq_from_expr,
     to_source,
 )
+from geomseq import exprdsl
 from geomseq.exprdsl import (
+    INDEX_SPAN,
     MAX_NESTING,
     eval_at,
     eval_log,
     eval_log_array,
     eval_value,
     eval_value_array,
+    float_index,
     lower_log,
 )
 
@@ -252,6 +255,42 @@ class TestEvaluation:
         for k in (2**63, 2**64, True):
             with pytest.raises(DomainError, match=re.escape(f"1..2^63-1, got {k!r}")):
                 read(parse("k"), k)
+
+    @pytest.mark.parametrize(
+        "ks, got",
+        [
+            (np.array([1.5]), 1.5),
+            (np.array([True]), True),
+            (np.array([2.0, 3.0]), 2.0),
+            (np.array([2.0**63]), 2.0**63),
+            (np.array([3, 2**63], dtype=np.uint64), 2**63),
+            (np.array([4, 2**64 - 1], dtype=np.uint64), 2**64 - 1),
+        ],
+    )
+    @pytest.mark.parametrize("read", [eval_value_array, eval_log_array])
+    def test_index_arrays_must_hold_int64_integers(self, read, ks, got):
+        """An index array is read as the scalar path reads each index."""
+        with pytest.raises(DomainError, match=re.escape(f"1..2^63-1, got {got!r}")):
+            read(parse("k"), ks)
+
+    @pytest.mark.parametrize("read", [eval_value_array, eval_log_array])
+    def test_a_range_reads_as_its_index_array(self, read):
+        ast = parse("(ln(k)+1)/k")
+        for lo, n in ((1, 5), (70_000, INDEX_SPAN + 3), (2**53 - 3, 6), (2**63 - 4, 4)):
+            assert _bits(read(ast, range(lo, lo + n))) == _bits(read(ast, lo + np.arange(n)))
+        with pytest.raises(DomainError, match="positive integers, got 0"):
+            read(parse("k"), range(0, 3))
+        assert read(parse("k"), range(0, 0)).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "lo, n", [(1, 1), (1, INDEX_SPAN), (9, INDEX_SPAN + 1), (2**53 - INDEX_SPAN, INDEX_SPAN),
+                  (2**53 - 5, 6), (2**53 + 1, 8), (2**62, 5)]
+    )
+    def test_float_index_is_the_float_arange(self, lo, n):
+        got = float_index(lo, n)
+        assert _bits(got) == _bits(np.arange(lo, lo + n, dtype=np.float64))
+        if lo + n <= 2**53:
+            assert _bits(got) == _bits(np.arange(lo, lo + n).astype(np.float64))
 
 
 class TestTopLevelExpShortcut:
@@ -499,3 +538,84 @@ class TestParserRobustness:
         assert parse("1.7e308").value == 1.7e308
         assert parse("5e-324").value == 5e-324
         assert parse("0.0").value == 0.0
+
+
+def _outcome(read):
+    """The bits of an array read, or the type and message of its error."""
+    try:
+        return _bits(read())
+    except GeometricError as exc:
+        return type(exc).__name__, str(exc)
+
+
+#: The last k with k^p below 2^53, for p = 2..5: a ``k^p`` piece through it
+#: is a product of copies of k, one past it ``np.power``.
+POWER_EDGES = {2: 94_906_265, 3: 208_063, 4: 9741, 5: 1552}
+
+#: Pieces that replay the checked interpreter: k^400 overflows from k = 6
+#: but 1/(k^400) reads 0.0 there; a zero divisor at k = 2; an inner exp
+#: past float64; and powers across the edges above.
+_REPLAYS = ["exp(1/(k^400))", "exp(0-1/(k-2))", "exp(exp(k))", "1/exp(k^400)", "ln(k^5)",
+            "exp(k^2)", "exp(1/k^3)", "k^4", "exp(k^5/k^4)", "exp(0-k^3)"]
+
+_PIECE_STARTS = st.one_of(
+    st.integers(1, 80),
+    st.sampled_from(sorted(POWER_EDGES.values())).flatmap(lambda e: st.integers(e - 70, e + 5)),
+    st.integers(2**53 - 70, 2**53 + 5),
+    st.integers(2**63 - 200, 2**63 - 65),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPRESSIONS | st.sampled_from(_REPLAYS), _PIECE_STARTS, st.integers(1, 64))
+@example("exp(1/(k^400))", 1, 12)
+@example("1/exp(k^400)", 1, 12)
+@example("exp(0-1/(k-2))", 1, 4)
+@example("exp(k^3)", 208_063 - 31, 32)
+@example("exp(k^3)", 208_064 - 31, 32)
+@example("k^4", 9741 - 7, 9)
+@example("exp(1/k^5)", 1552, 2)
+def test_a_piece_reads_as_the_checked_interpreter(src, lo, n):
+    """A scan piece's logs and values, read in one unchecked pass, are the
+    checked interpreter's bit for bit, or raise its error and message."""
+    ast = parse(src)
+    ks = np.arange(lo, lo + n, dtype=np.int64)
+    for log in (True, False):
+        want = _outcome(lambda: exprdsl._checked(ast, ks.astype(np.float64), ks, log))
+        if log:
+            assert _outcome(lambda: seq_from_expr(ast).log_values(lo, n)) == want
+        read = eval_log_array if log else eval_value_array
+        assert _outcome(lambda: read(ast, ks)) == want
+        assert _outcome(lambda: read(ast, range(lo, lo + n))) == want
+
+
+@settings(deadline=None)
+@given(st.integers(2, 52), st.integers(-40, 40))
+@example(2, 0)
+@example(3, 1)
+@example(4, 0)
+@example(5, 1)
+def test_integer_power_is_np_power_bit_for_bit(p, past_edge):
+    """k^p is a product of copies of k while the last k^p is below 2^53,
+    ``np.power`` past it: wherever the tests run, the two agree on every
+    window."""
+    last = max(1, _last_below(p) + past_edge)
+    ks = np.arange(max(1, last - 40), last + 1)
+    got = eval_value_array(parse(f"k^{p}"), ks)
+    assert _bits(got) == _bits(np.power(ks.astype(np.float64), np.full(len(ks), float(p))))
+    if last**p < 2**53:
+        assert got.tolist() == [float(k**p) for k in ks.tolist()]
+
+
+def _last_below(p: int) -> int:
+    """The largest k with k^p below 2^53."""
+    k = round(2 ** (53 / p))
+    while k**p >= 2**53:
+        k -= 1
+    while (k + 1) ** p < 2**53:
+        k += 1
+    return k
+
+
+def test_power_edges_are_the_last_terms_below_2_53():
+    assert POWER_EDGES == {p: _last_below(p) for p in POWER_EDGES}

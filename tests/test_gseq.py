@@ -238,6 +238,20 @@ class TestRemainder:
         with pytest.raises(ValueError):
             remainder(seq_from_expr("exp(k)"), 5, 6)
 
+    @pytest.mark.parametrize(
+        "tol, message",
+        [(math.inf, "tol must be finite, got inf"), (0.0, "tol must be positive, got 0.0"),
+         (math.nan, "tol must be positive, got nan")],
+    )
+    def test_tol_must_be_positive_and_finite(self, tol, message):
+        """An infinite tol would call every tail, and every statistic, stable."""
+        x = seq_from_expr("exp(k)")
+        for call in (lambda: remainder(x, 1, 100, tol), lambda: g_limit_probe(x, 100, tol),
+                     lambda: classify(x, "linf", 0, 100, tol)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == message
+
 
 class TestLimitProbe:
     def test_convergent(self):
@@ -745,6 +759,25 @@ class TestWindowScan:
         streamed = weighted_sup(x, 0, 60.0, N, 1e-6)
         assert _json(streamed) == _json(_whole_weighted_sup(x, 0, 60.0, N, 1e-6))
         assert math.isfinite(streamed[1].probe_2n)
+
+    @settings(deadline=None)
+    @given(
+        st.sampled_from([(2.0, 94_906_265), (3.0, 208_063)]).flatmap(
+            lambda we: st.tuples(st.just(we[0]), st.integers(we[1] - 80, we[1] + 5))
+        ),
+        st.integers(1, 64),
+    )
+    @example((3.0, 208_063 - 15), 16)
+    @example((3.0, 208_064 - 15), 16)
+    def test_integer_weights_are_np_power_bit_for_bit(self, wk, n):
+        """Weights 2 and 3 are products of k while the last k^w is below
+        2^53, ``np.power`` past it: both read the same bits on every piece."""
+        weight, k = wk
+        logs = np.random.default_rng(k).standard_normal(n) * 10.0 ** np.arange(-3, n - 3)
+        logs[::5] = 0.0
+        ks = np.arange(k, k + n, dtype=np.float64)
+        want = np.abs(logs) * np.power(ks, weight)
+        assert gseq._weighted_abs(k, logs, weight).tobytes() == want.tobytes()
 
     def test_a_weighted_log_past_float64_reads_inf_without_a_warning(self):
         with warnings.catch_warnings():

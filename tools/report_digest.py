@@ -100,6 +100,23 @@ FILL_WINDOWS = {
     "exp((1/k)^200)": ((35, 15), (1, 3000)),
 }
 
+#: ``log_values`` windows ``(start, count)`` that replay the checked
+#: evaluator (k^400 overflows from k = 6, yet 1/(k^400) reads 0.0 there; a
+#: zero divisor at k = 2), and windows across the last k with k^p below
+#: 2^53, where ``k^p`` stops being a product of copies of k: k = 94 906 265
+#: for p = 2, 208 063 for 3, 9741 for 4 and 1552 for 5.
+EDGE_WINDOWS = {
+    "exp(1/(k^400))": ((1, 16),),
+    "exp(0-1/(k-2))": ((1, 4), (3, 16)),
+    "exp(k^2)": ((94_906_250, 32),),
+    "exp(k^3)": ((208_048, 32), (208_064, 16)),
+    "exp(1/k^3)": ((208_048, 32),),
+    "exp(k^4)": ((9726, 32),),
+    "exp(1/k^4)": ((9726, 16), (9727, 16)),
+    "exp(k^5)": ((1537, 32),),
+    "exp(1/k^5)": ((1537, 16), (1538, 16)),
+}
+
 #: Window of the exact-sum kernel records: its ends close no 2^14-term piece.
 WIDE_WINDOW = (1 << 15) + 3
 
@@ -205,8 +222,9 @@ def switch_records():
 
 
 def fill_records():
-    """Float windows on both sides of the underflow fill of float powers."""
-    for src, windows in FILL_WINDOWS.items():
+    """Float windows on both sides of the underflow fill of float powers,
+    of an evaluator replay and of the 2^53 edge of integer powers."""
+    for src, windows in {**FILL_WINDOWS, **EDGE_WINDOWS}.items():
         x = gseq.seq_from_expr(src)
         for start, count in windows:
             yield report_line(
