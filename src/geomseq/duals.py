@@ -7,8 +7,8 @@ For the order-m difference spaces, a candidate multiplier sequence a sits in
 * the alpha-alpha (second alpha) dual iff sup e^(k^-m) (.) |a_k| is
   geometrically bounded, i.e. sup k^-m |ln a_k| < inf;
 * the beta dual (first order only) iff sum k ln a_k converges as a signed
-  series and the absolute tails sum: sum_k |ln R_k| < inf with
-  R_k = sum_{j>k} ln a_j (truncated at the probe window);
+  series and sum_k |R_k| < inf, R_k = sum_{j>k} ln a_j, read from two
+  dyadic blocks of |R_k|, each with R_k cut at the block's own end;
 * the gamma dual (first order only) iff the partial sums of k ln a_k stay
   bounded and the same tail condition holds.
 
@@ -137,32 +137,31 @@ class _PartialSums:
         return self.carry, self.top.read()
 
 
-def _tail_sums(a: GSeq, ends: tuple[int, ...]) -> list[float]:
-    """Sum over k < e of |R_k|, R_k being the sum of the logs of terms
-    k+1 .. e, for each end e, in one backward scan of terms [2, 2N].
+def _tail_blocks(a: GSeq, N: int) -> tuple[float, float]:
+    """A(N) and A(2N) in one backward scan of terms N/2+1 .. 2N: A(e) sums
+    |R_k| over e/2 <= k < e, R_k being the sum of the logs of terms k+1 .. e.
+    For R_k ~ c k^-alpha, A(2N) / A(N) = 2^(1-alpha), as for the uncut R_k.
 
-    Each R_k is summed from term e down, as the reversed cumsum of the
-    logs through e sums it, by carrying one running float per end; the
-    |R_k| go into one exact sum per end.
+    R_k is summed from term e down, as the reversed cumsum of the block's
+    logs sums it, by one running float; each block has its own exact sum.
     """
-    carry = {e: -0.0 for e in ends}  # -0.0 + x is x: R_{e-1} is term e
-    sums = {e: ExactSum() for e in ends}
-    for k, logs in a.log_chunks(2, ends[-1], ends, reverse=True):
-        rev, r = logs[::-1].copy(), np.empty(len(logs))
-        for e in ends:
-            if k + len(logs) - 1 <= e:
-                with np.errstate(over="ignore"):
-                    rev[0] = carry[e] + logs[-1]
-                    np.cumsum(rev, out=r)
-                carry[e] = float(r[-1])
-                sums[e].add(k, np.abs(r, out=r))
-    return [sums[e].read() for e in ends]
+    blocks = {N: ExactSum(), 2 * N: ExactSum()}
+    for k, logs in a.log_chunks(N // 2 + 1, 2 * N, (N,), reverse=True):
+        if k + len(logs) - 1 in blocks:
+            carry = -0.0  # -0.0 + x is x: R_{e-1} is term e
+        r = logs[::-1].copy()
+        with np.errstate(over="ignore"):
+            r[0] = carry + r[0]
+            np.cumsum(r, out=r)
+        carry = float(r[-1])
+        blocks[N if k <= N else 2 * N].add(k, np.abs(r, out=r))
+    return blocks[N].read(), blocks[2 * N].read()
 
 
 def _first_order_test(kind: str, a: GSeq, N: int, tol: float) -> DualReport:
-    """A condition on the partial sums S of k ln a_k, joined with the
-    summability of |ln R_k| truncated at the same window (m = 1): for beta
-    S converges (is Cauchy-flat), for gamma sup |S| stabilizes."""
+    """A condition on the partial sums S of k ln a_k, joined with the tail
+    condition read as 0, A(N), A(N) + A(2N) (:func:`_tail_blocks`; m = 1):
+    for beta S converges (is Cauchy-flat), for gamma sup |S| stabilizes."""
     check_window(N, tol)
     ends, partials = window_ends(N), _PartialSums(N)
     (_, top_half), (s_n, top_n), (s_2n, top_2n) = window_scan(a, 1, ends, partials)
@@ -171,7 +170,8 @@ def _first_order_test(kind: str, a: GSeq, N: int, tol: float) -> DualReport:
         cond = series_verdict(s_n, s_2n, top_2n, *partials.spans.values(), N, tol)
     else:
         label, cond = "partial sups", monotone_verdict(top_half, top_n, top_2n, N, tol)
-    cond_tails = monotone_verdict(*_tail_sums(a, ends), N, tol)
+    a_n, a_2n = _tail_blocks(a, N)
+    cond_tails = monotone_verdict(0.0, a_n, a_n + a_2n, N, tol)
     joint = conjunction(cond, cond_tails)
     overall = Verdict(
         joint,

@@ -341,17 +341,18 @@ _EXACT_INTS = 2**53
 #: of k, by float: past p = 52 every k >= 2 has k^p beyond 2^53.
 _PRODUCTS = {float(p): p for p in range(2, 53)}
 
-#: Terms of the longest index range whose float index is one add to a
-#: shared array: one window-scan piece (``gseq.SUM_CHUNK``).
+#: Terms of one window-scan piece (``gseq.SUM_CHUNK``).  A float index of up
+#: to 64 terms more is one add to a shared array: that covers the m <= 60
+#: extra terms a difference view reads past a piece.
 INDEX_SPAN = 1 << 14
-_OFFSETS = np.arange(INDEX_SPAN, dtype=np.float64)
+_OFFSETS = np.arange(INDEX_SPAN + 64, dtype=np.float64)
 
 
 def float_index(lo: int, n: int) -> np.ndarray:
     """The float64 indices lo .. lo+n-1 as a new array, bit for bit as
     ``np.arange(lo, lo + n, dtype=float64)`` gives them.  Up to 2^53 they
     are exact, and so is adding lo to the shared offsets 0 .. n-1."""
-    if n <= INDEX_SPAN and lo + n <= _EXACT_INTS:
+    if n <= len(_OFFSETS) and lo + n <= _EXACT_INTS:
         return _OFFSETS[:n] + float(lo)
     return np.arange(lo, lo + n, dtype=np.float64)
 

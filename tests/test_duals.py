@@ -2,9 +2,11 @@
 and the sparse counterexample construction."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geomseq import (
     DualReport,
@@ -22,6 +24,7 @@ from geomseq import (
     seq_from_expr,
     seq_from_logs,
 )
+from geomseq.duals import _tail_blocks
 
 N = 10_000
 
@@ -136,6 +139,94 @@ class TestTailCondition:
         assert test(a, n).remainder_ok.kind is kind
 
 
+def _power_tail_logs(c, alpha, n):
+    """n logs c k^-(1+alpha): the tails R_k ~ (c/alpha) k^-alpha, so
+    sum |R_k| diverges iff alpha <= 1, and A(2N)/A(N) tends to 2^(1-alpha)."""
+    return c * np.arange(1, n + 1, dtype=np.float64) ** -(1.0 + alpha)
+
+
+def _found_spike(amplitude):
+    """Logs k^-1.5 (alpha = 1/2) at N = 2^15 with amplitude/sqrt(N) taken
+    from term N+1: per-end tail sums read these divergent tails finite."""
+    n = 2**15
+    logs = _power_tail_logs(1.0, 0.5, 2 * n)
+    logs[n] -= amplitude / math.sqrt(n)
+    return 0.5, n, logs
+
+
+@st.composite
+def power_tails(draw, spike):
+    """(alpha, N, logs): a power tail at N = 2^12, alpha in [0.3, 2], whose
+    amplitude keeps A(N) above about 60 tol.  With ``spike``, one term
+    j in (N, 2N] moves by d, |d| up to 8 |R_N|: a spike shifts the R_k of
+    k < j only, so it moves the block A(2N) by at most (j - N) |d|, and that
+    is capped at A(2N)/8.  (Larger spikes can cancel much of the block:
+    no window probe decides an infinite tail.)"""
+    n = 2**12
+    alpha = draw(st.floats(0.3, 2.0))
+    c = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(0.0, 2.0))
+    logs = _power_tail_logs(c, alpha, 2 * n)
+    if spike:
+        offset = draw(st.integers(0, 12).flatmap(lambda b: st.integers(1, 2**b)))
+        outer = logs[n:][::-1]
+        cap = min(8.0 * abs(outer.sum()), np.abs(np.cumsum(outer)).sum() / (8 * offset))
+        logs[n + offset - 1] += draw(st.floats(-1.0, 1.0)) * cap
+    return alpha, n, logs
+
+
+class TestTailBlocks:
+    """The tails leg reads A(N) and A(2N), A(e) = sum of |R_k| over
+    e/2 <= k < e with R_k cut at e: a term past N leaves A(N) as it is."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(power_tails(spike=True), st.sampled_from([beta_dual_test, gamma_dual_test]))
+    @example(_found_spike(2.0), beta_dual_test)
+    @example(_found_spike(2.0), gamma_dual_test)
+    @example(_found_spike(1.0), beta_dual_test)
+    @example(_found_spike(1.0), gamma_dual_test)
+    def test_a_spike_past_n_does_not_settle_divergent_tails(self, case, test):
+        alpha, n, logs = case
+        tails = test(seq_from_logs(logs), n).remainder_ok
+        if alpha <= 1.0:
+            assert tails.kind is not VerdictKind.FINITE, tails.note
+        if alpha >= 1.5:
+            assert tails.kind is not VerdictKind.DIVERGED, tails.note
+
+    @pytest.mark.parametrize("amplitude", [2.0, 1.0])
+    @pytest.mark.parametrize("test", [beta_dual_test, gamma_dual_test])
+    def test_found_spikes_are_diverged(self, amplitude, test):
+        _, n, logs = _found_spike(amplitude)
+        report = test(seq_from_logs(logs), n)
+        assert report.remainder_ok.kind is VerdictKind.DIVERGED
+        assert report.verdict.note.endswith("tails diverged")
+
+    @settings(max_examples=40, deadline=None)
+    @given(power_tails(spike=False).filter(lambda case: not 1.0 < case[0] < 1.5))
+    def test_spike_free_power_tails(self, case):
+        alpha, n, logs = case
+        kind = VerdictKind.DIVERGED if alpha <= 1.0 else VerdictKind.FINITE
+        assert beta_dual_test(seq_from_logs(logs), n).remainder_ok.kind is kind
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 40).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.floats(-1e200, 1e200), min_size=2 * n, max_size=2 * n)
+    )))
+    def test_each_block_within_the_recursive_summation_bound(self, case):
+        """|A - A_exact| <= sum_k gamma_(e-k) sum_(j=k+1..e) |l_j| + u |A_exact|:
+        each R_k is a recursive sum of e - k logs, its |R_k| are summed
+        exactly and rounded once."""
+        n, logs = case
+        u = Fraction(1, 2**53)
+        for e, got in zip((n, 2 * n), _tail_blocks(seq_from_logs(np.array(logs)), n)):
+            r = mass = exact = bound = Fraction(0)
+            for count, log in enumerate(reversed(logs[e // 2 : e]), 1):  # R_(e - count)
+                r += Fraction(log)
+                mass += abs(Fraction(log))
+                exact += abs(r)
+                bound += count * u / (1 - count * u) * mass
+            assert abs(Fraction(got) - exact) <= bound + u * exact
+
+
 class TestDispatcher:
     def test_kind_normalization(self):
         a = seq_from_expr("exp(1/k^4)")
@@ -231,9 +322,11 @@ class TestWindowSums:
             assert alpha.probe_2n.hex() == math.fsum(weighted).hex(), entry.name
             tail, _ = remainder(entry.seq, 3, n)
             assert tail.log_value.hex() == math.fsum(logs[3:n]).hex(), entry.name
-            tails = np.cumsum(logs[:n][::-1])[::-1][1:]
-            tail_sum = beta_dual_test(entry.seq, n).remainder_ok.probe_n
-            assert tail_sum.hex() == math.fsum(np.abs(tails)).hex(), entry.name
+            # the tail blocks (e/2, e], each R_k summed down from its own end e
+            a_n, a_2n = (math.fsum(np.abs(np.cumsum(logs[e // 2 : e][::-1]))) for e in (n, 2 * n))
+            tails = beta_dual_test(entry.seq, n).remainder_ok
+            assert tails.probe_n.hex() == a_n.hex(), entry.name
+            assert tails.probe_2n.hex() == (a_n + a_2n).hex(), entry.name
 
     @pytest.mark.parametrize("kind", ["alpha", "beta", "gamma"])
     def test_sums_past_float64_diverge(self, kind):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import sys
@@ -12,6 +13,7 @@ from geomseq import (
     GeometricError,
     NonPositiveValue,
     ParseError,
+    classify,
     parse,
     seq_from_expr,
     to_source,
@@ -291,6 +293,24 @@ class TestEvaluation:
         assert _bits(got) == _bits(np.arange(lo, lo + n, dtype=np.float64))
         if lo + n <= 2**53:
             assert _bits(got) == _bits(np.arange(lo, lo + n).astype(np.float64))
+
+    def test_difference_pieces_take_the_shared_offsets(self, monkeypatch):
+        """A difference view reads m terms past each scan piece; those reads
+        still add to the shared offsets, and read the same bits as the
+        float ``arange`` did."""
+        x = seq_from_expr("exp(ln(k)/k)")
+        spans = []
+
+        def spy(lo, n):
+            spans.append(n)
+            return float_index(lo, n)
+
+        monkeypatch.setattr(exprdsl, "float_index", spy)
+        report = json.dumps(classify(x, "linf", 2, 10**5).to_dict())
+        assert max(spans) == INDEX_SPAN + 2
+        assert max(spans) <= len(exprdsl._OFFSETS)
+        monkeypatch.setattr(exprdsl, "_OFFSETS", exprdsl._OFFSETS[:INDEX_SPAN])
+        assert json.dumps(classify(x, "linf", 2, 10**5).to_dict()) == report
 
 
 class TestTopLevelExpShortcut:

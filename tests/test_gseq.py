@@ -568,11 +568,15 @@ def _stat_at_ends(stat, vals, N, offset=0):
     return tuple(float(stat(vals[:end])) for end in ends)
 
 
-def _tail_total(logs):
-    """Sum of |R_k| over the block, R_k being the sum of the logs after k."""
-    with np.errstate(over="ignore"):
-        tails = np.cumsum(logs[::-1])[::-1][1:]
-    return exact_prefix_sums(np.abs(tails), (len(tails),))[0]
+def _tail_blocks(logs, N):
+    """The exact sums of |R_k| over the blocks of terms (N/2, N] and
+    (N, 2N], R_k being the sum of the logs after k through the block's end."""
+    blocks = []
+    for e in (N, 2 * N):
+        with np.errstate(over="ignore"):
+            tails = np.cumsum(logs[e // 2 : e][::-1])
+        blocks.append(exact_prefix_sums(np.abs(tails), (len(tails),))[0])
+    return blocks
 
 
 def _weights(m, N):
@@ -614,7 +618,8 @@ def _whole_first_order(kind, a, N, tol):
     else:
         label = "partial sups"
         cond = monotone_verdict(*_stat_at_ends(np.max, np.abs(partials), N), N, tol)
-    tails = monotone_verdict(*_stat_at_ends(_tail_total, logs, N), N, tol)
+    a_n, a_2n = _tail_blocks(logs, N)
+    tails = monotone_verdict(0.0, a_n, a_n + a_2n, N, tol)
     joint = conjunction(cond, tails)
     overall = Verdict(
         joint, cond.estimate if joint is VerdictKind.FINITE else None, N,

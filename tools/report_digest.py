@@ -9,12 +9,23 @@ holds the ``log_at`` of each of its indices (or the error it raised), a
 window record the ``log_values`` / ``log_points`` of one read, and
 the ``namespace`` record the sorted ``geomseq.__all__``.  To check that a change
 leaves every output byte-identical, run the script in a checkout of the
-parent commit as well (copy it there if it is new) and ``diff`` the two
-files.  The package is imported from the ``src/`` next to this script.
+parent commit as well (copy it there if it is new) and compare the two
+files:
+
+    python tools/report_digest.py --compare before.txt after.txt
+
+That exits 1 unless the records that differ (changed, added or removed) are
+exactly the ones listed in ``tools/digest_moves.txt``, one
+``record-name<TAB>reason`` a line: a record that moved unlisted fails, and
+so does a listed one that did not move, so the list holds only the moves of
+the change at hand.  The package is imported from the ``src/`` next to this
+script.
 """
 
+import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -119,6 +130,13 @@ EDGE_WINDOWS = {
 
 #: Window of the exact-sum kernel records: its ends close no 2^14-term piece.
 WIDE_WINDOW = (1 << 15) + 3
+
+#: Window of the tail-spike records: logs k^-1.5, whose tails R_k ~ 2/sqrt(k)
+#: are not summable, with amplitude/sqrt(N) taken from term N+1.
+SPIKE_WINDOW = 1 << 15
+
+#: The digest's expected moves, one ``record-name<TAB>reason`` a line.
+MOVES = Path(__file__).resolve().with_name("digest_moves.txt")
 
 #: Indices of the point-read records, by label.
 POINT_KS = {"1..300": range(1, 301), "1000": [1000], "5000": [5000], "77777": [77_777]}
@@ -269,6 +287,20 @@ def scan_records():
             )
 
 
+def spike_records():
+    """The beta and gamma tests on the tail-spike buffers at :data:`SPIKE_WINDOW`."""
+    n = SPIKE_WINDOW
+    for amplitude in (2.0, 1.0):
+        logs = np.arange(1, 2 * n + 1, dtype=np.float64) ** -1.5
+        logs[n] -= amplitude / math.sqrt(n)
+        x = gseq.seq_from_logs(logs)
+        for kind in ("beta", "gamma"):
+            yield report_line(
+                f"tail_spike[{kind}|{amplitude!r}|{n}]",
+                lambda: duals.dual_test(x, kind, 1, n).to_dict(),
+            )
+
+
 def wide_buffers(count: int) -> dict:
     """Log buffers of ``count`` terms whose window sums take the exact-sum
     kernel to its edges: terms of 2^1000 and more, subnormals, and spans like
@@ -332,7 +364,48 @@ def process_records():
             yield process_line(f"demo[{demo.name}]", [sys.executable, str(demo)], cwd)
 
 
+def read_digest(path: Path) -> dict:
+    """Record name -> sha256 of a digest file; a name may hold spaces."""
+    records = {}
+    for line in path.read_text().splitlines():
+        name, _, sha = line.rpartition(" ")
+        if name in records:
+            raise SystemExit(f"{path}: record {name!r} twice")
+        records[name] = sha
+    return records
+
+
+def expected_moves() -> dict:
+    """Record name -> reason, from :data:`MOVES`; ``#`` lines are comments."""
+    moves = {}
+    for line in MOVES.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, _, reason = line.partition("\t")
+            if not reason.strip():
+                raise SystemExit(f"{MOVES.name}: no reason for {name!r}")
+            moves[name] = reason
+    return moves
+
+
+def compare(before: Path, after: Path) -> int:
+    """1 unless the records that differ are exactly the expected moves."""
+    base, head = read_digest(before), read_digest(after)
+    moved = {name for name in base.keys() | head.keys() if base.get(name) != head.get(name)}
+    listed = set(expected_moves())
+    for name in sorted(moved - listed):
+        print(f"moved, not listed in {MOVES.name}: {name}")
+    for name in sorted(listed - moved):
+        print(f"listed in {MOVES.name}, did not move: {name}")
+    print(f"{len(moved)} of {len(head)} records moved, {len(listed)} listed")
+    return int(moved != listed)
+
+
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
+    args = parser.parse_args()
+    if args.compare:
+        sys.exit(compare(*args.compare))
     print(report_line("namespace", lambda: sorted(geomseq.__all__)), flush=True)
     for line in library_records():
         print(line, flush=True)
@@ -343,6 +416,8 @@ def main() -> None:
     for line in fill_records():
         print(line, flush=True)
     for line in scan_records():
+        print(line, flush=True)
+    for line in spike_records():
         print(line, flush=True)
     for line in kernel_records():
         print(line, flush=True)
