@@ -234,35 +234,24 @@ def counterexample_sequence(
     Scans for indices k(1) < k(2) < ... with k(i)^-m |ln a_{k(i)}| > i^m,
     then places the geometric inverse of |a_{k(i)}| at k(i) and the
     geometric zero elsewhere.  The result has sum k^m |ln x_k| dominated by
-    sum i^-m over the selected indices.
+    sum i^-m over the selected indices.  The terms come in engine pieces
+    (:meth:`~geomseq.gseq.GSeq.log_chunks`) up to the count-th hit; a piece
+    that fails to read ends the search with its own error.
     """
     m = check_order(m)
     if not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be a positive integer, got {count!r}")
     if not isinstance(search_window, int) or search_window < 1:
         raise ValueError(f"search_window must be a positive integer, got {search_window!r}")
-    limit = search_window
-    if a.length is not None:
-        limit = min(limit, a.length)
+    limit = search_window if a.length is None else min(search_window, a.length)
     entries: dict[int, float] = {}
-    i = 1
-    k = 1
-    block = 1024
-    while k <= limit and i <= count:
-        n = min(block, limit - k + 1)
-        logs = a.log_values(k, n)
-        for j in range(n):
-            idx = k + j
-            lv = abs(float(logs[j]))
-            if lv * float(idx) ** (-m) > float(i) ** m:
-                entries[idx] = 1.0 / lv
-                i += 1
-                if i > count:
-                    break
-        k += n
-    if i <= count:
-        raise NoSubsequenceFound(
-            f"no subsequence with k^-{m}|ln a_k| exceeding i^{m} found in "
-            f"the first {limit} terms (got {i - 1} of {count})"
-        )
-    return SparseLogSeq(entries)
+    for k, logs in a.log_chunks(1, limit) if limit else ():
+        for idx, log in enumerate(logs.tolist(), k):
+            if abs(log) * float(idx) ** (-m) > float(len(entries) + 1) ** m:
+                entries[idx] = 1.0 / abs(log)
+                if len(entries) == count:
+                    return SparseLogSeq(entries)
+    raise NoSubsequenceFound(
+        f"no subsequence with k^-{m}|ln a_k| exceeding i^{m} found in "
+        f"the first {limit} terms (got {len(entries)} of {count})"
+    )

@@ -29,25 +29,24 @@ tol), geometric decay of increments (ratio <= 0.8), persistent growth
 (ratio >= 0.95 or log magnitude beyond 1e6), or give up and say so.  The
 thresholds are package constants, shared by every caller.
 
-Every verdict reads its terms through one engine, :func:`window_scan`, in
-the pieces of :meth:`GSeq.log_chunks`: at most :data:`SUM_CHUNK` terms,
-ending also at N/2, N and 2N, so memory does not grow with N.  A piece that
-fails to read raises its own error and ends the scan; a buffer's pieces are
-read-only views of its logs, so no fold may write into one.  The engine folds
-each piece into a small accumulator by ``add(k, vals)``, ``vals[0]`` being
-term k, and takes its ``read()`` at each end: :class:`ExactSum` carries the
+Every bulk read takes the pieces of :meth:`GSeq.log_chunks`: at most
+:data:`SUM_CHUNK` terms, ending also at N/2, N and 2N, so memory does not
+grow with N; only the c and c0 limit probe reads its 2 * :data:`PROBE_POINTS`
+terms by :meth:`GSeq.log_points`.  A piece that fails to read raises its own
+error and ends the scan; a buffer's pieces are read-only views of its logs,
+so no fold may write into one.  Most verdicts fold the pieces in one engine,
+:func:`window_scan`, into a small accumulator by ``add(k, vals)``,
+``vals[0]`` being term k, read at each end: :class:`ExactSum` carries the
 exact running sum as one Python int and rounds it once, to the value
-``math.fsum`` gives for that prefix, and takes each piece's exact sum from
-a few vector passes of error-free extraction (Rump, Ogita and Oishi, 2008;
-see ``_SUM_UNIT``): the first pass's max and min are also its test for inf
-and nan, the second runs from the bound the first leaves, and only a piece
-with a remainder after that measures again; :class:`RunningMax` keeps the
-sup and its first term, the witness; a float running sum starts each piece's
-cumsum from the carried total (``x[0] = carry + x[0]``), so it adds term
-after term exactly as one cumsum over the whole window would.  The beta
-and gamma tails R_k = sum of the logs of terms k+1 .. e are summed from
-each end e down; one backward scan from 2N, carrying one float per end,
-gives them bit for bit as the reversed cumsum of the logs through e.
+``math.fsum`` gives for that prefix, taking each piece's exact sum by
+error-free extraction (Rump, Ogita and Oishi, 2008; see ``_SUM_UNIT``);
+:class:`RunningMax` keeps the sup and its first term, the witness; a float
+running sum starts each piece's cumsum from the carried total, so it adds
+term after term exactly as one cumsum over the whole window would.  The beta
+and gamma tails walk the pieces backward from 2N and sum |R_k| exactly over
+two dyadic blocks e/2 <= k < e, e = N and 2N, R_k being the sum of the logs
+of terms k+1 .. e: one float carried down from each e gives R_k bit for bit
+as the reversed cumsum of the block's logs.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .codec import Report, json_key
 from .errors import DomainError, IndexOutOfRange, NonPositiveValue
@@ -491,14 +489,15 @@ class GSeq:
         return GNum(self.log_at(k))
 
     def log_at(self, k: int) -> float:
-        return float(self.log_points([self._bounded(k)])[0])
+        return float(self.log_points([k])[0])
 
     def log_points(self, ks) -> np.ndarray:
-        """Float64 logs of the terms at the ascending indices ``ks``."""
-        if len(ks):  # before the int64 cast, which a huge index overflows
-            self._bounded(ks[0])
-            self._bounded(ks[-1])
-        ks = np.asarray(ks, dtype=np.int64)
+        """Float64 logs of the terms at the indices ``ks``, in any order."""
+        if not (isinstance(ks, np.ndarray) and ks.dtype == np.int64):  # a huge index overflows the cast
+            ks = np.array([_check_index(k) for k in ks], dtype=np.int64)
+        if len(ks):
+            self._bounded(ks.min())
+            self._bounded(ks.max())
         if self.exact_form is not None:
             return self.exact_form.values(ks)
         with np.errstate(over="ignore"):  # a log past float64 reads as +-inf
@@ -611,7 +610,7 @@ class BufferSeq(GSeq):
         return self._logs[lo - 1 : lo - 1 + n]
 
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
-        return sliding_window_view(self._logs, count)[starts - 1]
+        return self._logs[self._grid(starts, count) - 1]
 
 
 class ConstantSeq(GSeq):

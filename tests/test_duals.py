@@ -25,6 +25,7 @@ from geomseq import (
     seq_from_logs,
 )
 from geomseq.duals import _tail_blocks
+from geomseq.gseq import SparseLogSeq
 
 N = 10_000
 
@@ -250,6 +251,67 @@ class TestDispatcher:
             assert DualReport.from_dict(report.to_dict()) == report
 
 
+def reference_search(a, m, count, search_window):
+    """The counterexample search as it read the terms before it took engine
+    pieces: 1024-term ``log_values`` blocks from term 1, kept as the
+    reference for :func:`counterexample_sequence`."""
+    limit = search_window
+    if a.length is not None:
+        limit = min(limit, a.length)
+    entries = {}
+    i = 1
+    k = 1
+    block = 1024
+    while k <= limit and i <= count:
+        n = min(block, limit - k + 1)
+        logs = a.log_values(k, n)
+        for j in range(n):
+            idx = k + j
+            lv = abs(float(logs[j]))
+            if lv * float(idx) ** (-m) > float(i) ** m:
+                entries[idx] = 1.0 / lv
+                i += 1
+                if i > count:
+                    break
+        k += n
+    if i <= count:
+        raise NoSubsequenceFound(
+            f"no subsequence with k^-{m}|ln a_k| exceeding i^{m} found in "
+            f"the first {limit} terms (got {i - 1} of {count})"
+        )
+    return SparseLogSeq(entries)
+
+
+def _search_outcome(search, a, m, count, window):
+    """The support and the ``.hex()`` of each stored log, or the error text."""
+    try:
+        x = search(a, m, count, window)
+    except NoSubsequenceFound as exc:
+        return str(exc)
+    return x.support, [x.log_at(k).hex() for k in x.support]
+
+
+#: Windows at the edges of a 1024-term block and of an engine piece.
+_EDGE_WINDOWS = [1, 1023, 1024, 1025, 2048, 16383, 16384, 16385, 16386, 20_000]
+
+
+@st.composite
+def search_cases(draw):
+    """A buffer of small logs with candidate hits at drawn terms and at
+    16 384 and 16 385, each large enough for some i and not for others."""
+    m, count = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    past_the_piece = st.sampled_from([16_385, 16_386, 20_000])
+    window = draw(st.sampled_from(_EDGE_WINDOWS) | past_the_piece | st.integers(1, 20_000))
+    n = draw(st.sampled_from([0, *_EDGE_WINDOWS]) | past_the_piece | st.integers(0, 20_000))
+    places = draw(st.lists(st.integers(1, 20_000) | st.sampled_from(_EDGE_WINDOWS), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logs = rng.normal(0.0, 0.5, n)
+    for k in [*places, 16_384, 16_385]:
+        if k <= n:
+            logs[k - 1] = rng.choice([-1.0, 1.0]) * (k * rng.uniform(0.5, 7.0)) ** m
+    return seq_from_logs(logs), m, count, window
+
+
 class TestCounterexample:
     def test_quadratic_witness(self):
         x = counterexample_sequence(seq_from_expr("exp(k^2)"), 1, 3)
@@ -265,6 +327,29 @@ class TestCounterexample:
     def test_bounded_input_has_no_subsequence(self):
         with pytest.raises(NoSubsequenceFound):
             counterexample_sequence(seq_from_expr("e"), 1, 1, search_window=5000)
+
+    @settings(max_examples=60, deadline=None)
+    @given(search_cases())
+    @example((seq_from_logs(np.zeros(16_385)), 1, 1, 16_385))
+    def test_search_equals_the_block_reader_on_buffers(self, case):
+        a, m, count, window = case
+        expected = _search_outcome(reference_search, a, m, count, window)
+        assert _search_outcome(counterexample_sequence, a, m, count, window) == expected
+
+    def test_search_equals_the_block_reader_on_the_catalog(self, catalog):
+        for entry in catalog:
+            for m in (1, 2, 3):
+                for count in (1, 6):
+                    expected = _search_outcome(reference_search, entry.seq, m, count, 17_000)
+                    got = _search_outcome(counterexample_sequence, entry.seq, m, count, 17_000)
+                    assert got == expected, (entry.name, m, count)
+
+    def test_empty_buffer_has_no_subsequence(self):
+        empty = seq_from_logs(np.zeros(0))
+        message = r"^no subsequence .* in the first 0 terms \(got 0 of 2\)$"
+        for search in (reference_search, counterexample_sequence):
+            with pytest.raises(NoSubsequenceFound, match=message):
+                search(empty, 1, 2, 1000)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):

@@ -129,6 +129,43 @@ class TestSequenceAccess:
         assert list(s.log_values(2**63 - 2, 2)) == [0.0, 1.0]
         assert list(s.log_points([1, 2**63 - 2, 2**63 - 1])) == [0.0, 0.0, 1.0]
 
+    # five terms each where the sequence is finite
+    POINT_SEQS = {
+        "buffer": lambda: seq_from_logs([1.0, 2.0, 3.0, 4.0, 5.0]),
+        "float expression": lambda: seq_from_expr("exp(ln(k)/k)"),
+        "exact expression": lambda: seq_from_expr("exp(1/k)"),
+        "difference": lambda: delta_binomial(seq_from_logs([1.0, 4.0, 9.0, 16.0, 25.0, 36.0]), 1),
+        "sparse": lambda: SparseLogSeq({2: 1.5}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POINT_SEQS))
+    @pytest.mark.parametrize(
+        "ks, message",
+        [
+            ([5, 0, 3], "start at 1, got 0$"),
+            ([3, -4, 3], "start at 1, got -4$"),
+            ([1, 2.5, 3], "start at 1, got 2.5$"),
+            ([1, True, 3], "start at 1, got True$"),
+            ([1, 2**63, 2], r"end at 2\^63-1, got 9223372036854775808$"),
+            (np.array([5, 0, 3]), "start at 1, got "),
+            (np.array([3, -4, 3]), "start at 1, got "),
+        ],
+    )
+    def test_points_check_every_index(self, name, ks, message):
+        with pytest.raises(IndexOutOfRange, match=message):
+            self.POINT_SEQS[name]().log_points(ks)
+
+    @pytest.mark.parametrize("name", sorted(POINT_SEQS))
+    def test_points_in_any_order(self, name):
+        x = self.POINT_SEQS[name]()
+        expected = [x.log_at(k).hex() for k in (5, 1, 3, 3)]
+        for ks in ([5, 1, 3, 3], np.array([5, 1, 3, 3])):
+            assert [v.hex() for v in x.log_points(ks).tolist()] == expected
+        if x.length is not None:
+            for ks in ([2, 9, 3], np.array([2, 9, 3]), [1, 7, 9]):
+                with pytest.raises(IndexOutOfRange, match="^index 9 beyond the 5 defined terms$"):
+                    x.log_points(ks)
+
     @pytest.mark.parametrize(
         "key, message",
         [(2**64, r"end at 2\^63-1, got 18446744073709551616$"), (0, "start at 1, got 0$")],
