@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -43,6 +42,7 @@ from .gdiff import delta_binomial, delta_norm
 from .gseq import (
     DEFAULT_TOL,
     DEFAULT_WINDOW,
+    SUM_CHUNK,
     GSeq,
     seq_from_expr,
     seq_from_logs,
@@ -116,26 +116,29 @@ def _range_type(text: str) -> tuple[int, int]:
 
 def load_sequence(spec: str, logs: bool = False) -> GSeq:
     """An expression, unless ``spec`` names an existing file of numbers."""
-    path = Path(spec)
+    if not os.path.isfile(spec):  # also for an expression longer than a file name may be
+        return seq_from_expr(spec)
     try:
-        is_file = path.is_file()
-    except OSError:  # e.g. an expression longer than a file name may be
-        is_file = False
-    if is_file:
-        values = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
+        with open(spec) as f:
+            arr = np.fromiter(_numbers(f, spec), dtype=np.float64)
+    except UnicodeDecodeError:
+        Path(spec).read_text()  # the same error, its byte position counted from the file's start
+        raise
+    return seq_from_logs(arr) if logs else seq_from_values(arr)
+
+
+def _numbers(f, spec: str):
+    """The numbers of a file, line by line.  Each raw line is split again, so
+    the lines and their numbers are ``read_text().splitlines()``'s."""
+    for lineno, line in enumerate((line for raw in f for line in raw.splitlines()), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
             try:
-                values.append(float(stripped))
+                yield float(stripped)
             except ValueError:
+                for _ in f:  # an undecodable byte further on is the error read_text() meets first
+                    pass
                 raise DomainError(f"{spec}:{lineno}: not a number: {stripped!r}") from None
-        arr = np.asarray(values, dtype=np.float64)
-        if logs:
-            return seq_from_logs(arr)
-        return seq_from_values(arr)
-    return seq_from_expr(spec)
 
 
 def _build_parser() -> _ArgumentParser:
@@ -239,11 +242,15 @@ def dual_report_from_envelope(env: dict) -> DualReport:
 
 
 def _rows_envelope(args, seq: GSeq) -> dict:
-    """The eval/diff envelope: the logs of ``seq`` over ``args.range``."""
+    """The eval/diff envelope; its rows are the logs over ``args.range``, read whole before output."""
     lo, hi = args.range
-    logs = seq.log_points(np.arange(lo, hi + 1, dtype=np.int64)).tolist()
-    rows = [{"k": k, "log_value": v, "rendering": GNum(v).render()} for k, v in enumerate(logs, lo)]
-    return _envelope(args, rows=rows)
+    return _envelope(args, rows=seq.log_points(np.arange(lo, hi + 1, dtype=np.int64)))
+
+
+#: Per format, a row's template and the text between two rows.  No field needs quoting
+#: or escaping (an int, a float repr, ``e^`` and a number): csv.writer's rows.
+_ROWS = {"json": ('{{\n      "k": {},\n      "log_value": {},\n      "rendering": "{}"\n    }}', ",\n    "),
+         "csv": ("{},{},{}", "\n")}
 
 
 def _csv_value(v) -> str:
@@ -251,9 +258,7 @@ def _csv_value(v) -> str:
         return ""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return str(v)  # a float's str is its repr
 
 
 def _flatten(d: dict, prefix: str = ""):
@@ -267,21 +272,31 @@ def _flatten(d: dict, prefix: str = ""):
             yield name, val
 
 
-def _emit(env: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(env, indent=2))
-        return
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+def _emit(env: dict, args) -> None:
+    """Write an envelope; eval/diff rows one piece of text per write, nothing to raise past the head."""
+    fmt, out = args.format, sys.stdout
     if "rows" in env:
-        writer.writerow(["k", "log_value", "rendering"])
-        for row in env["rows"]:
-            writer.writerow([row["k"], _csv_value(row["log_value"]), row["rendering"]])
+        row, sep = _ROWS[fmt]
+        head, _, tail = json.dumps({**env, "rows": [None]}, indent=2).rpartition("null")
+        if fmt == "csv":
+            head, tail = "k,log_value,rendering\n", ""
+        out.write(head)
+        for i in range(0, len(env["rows"]), SUM_CHUNK):
+            piece = env["rows"][i : i + SUM_CHUNK]
+            k, vals = args.range[0] + i, piece.tolist()
+            text = repr if fmt == "csv" or np.isfinite(piece).all() else json.dumps  # Infinity, NaN
+            if i:
+                out.write(sep)
+            out.write(sep.join(map(row.format, range(k, k + len(vals)), map(text, vals),
+                                   map(GNum.RENDER.format, vals))))
+        out.write(tail + "\n")
+    elif fmt == "json":
+        print(json.dumps(env, indent=2))
     else:
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["key", "value"])
         for key, val in _flatten(env):
             writer.writerow([key, _csv_value(val)])
-    sys.stdout.write(out.getvalue())
 
 
 def _exit_for(*verdict_kinds: str) -> int:
@@ -299,7 +314,7 @@ def _run(args: argparse.Namespace) -> int:
         code = _exit_for(*kinds)
     else:
         env, code = _sequence_command(args, load_sequence(args.seq, args.logs))
-    _emit(env, args.format)
+    _emit(env, args)
     return code
 
 

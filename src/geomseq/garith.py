@@ -76,9 +76,11 @@ class GNum:
         except OverflowError:
             return math.inf
 
+    RENDER = "e^{:.12g}"  # the format of render(), shared by the CLI's row writer
+
     def render(self) -> str:
         """Human-oriented form that never materializes the value."""
-        return f"e^{self.log_value:.12g}"
+        return self.RENDER.format(self.log_value)
 
     def __repr__(self) -> str:
         return f"GNum({self.render()})"

@@ -242,6 +242,10 @@ def _check_tol(tol: float) -> None:
 #: array (:func:`geomseq.exprdsl.float_index`).
 SUM_CHUNK = exprdsl.INDEX_SPAN
 
+#: The int64 offsets of a window read, shared and read-only like exprdsl's floats.
+_OFFSETS = np.arange(len(exprdsl._OFFSETS))
+_OFFSETS.flags.writeable = False
+
 # A finite float64 is m * 2^(e - 53) with m a 53-bit integer and frexp's
 # exponent e >= -1073, so every term is a whole multiple of 2^-1126.
 # _chunk_total sums a chunk exactly, as an int in these units, by error-free
@@ -559,7 +563,7 @@ class GSeq:
         """The int64 indices ``starts[i] + j`` of a window read."""
         if len(starts) and count:  # before starts + count wraps past 2^63-1
             _check_index(int(starts.max()) + count - 1)
-        return starts[:, None] + np.arange(count)
+        return starts[:, None] + (_OFFSETS[:count] if count <= len(_OFFSETS) else np.arange(count))
 
 
 class ExpressionSeq(GSeq):

@@ -2,21 +2,25 @@
 envelopes, exit codes, file input, and the lossless report round-trip."""
 
 import contextlib
+import csv
 import io
 import json
 import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from geomseq import GeometricError, classify, dual_test, seq_from_expr
-from geomseq.cli import dual_report_from_envelope, main, membership_report_from_envelope
-from geomseq.gdiff import MAX_ORDER
+from geomseq import GeometricError, GNum, classify, dual_test, seq_from_expr, seq_from_logs, seq_from_values
+from geomseq.cli import dual_report_from_envelope, load_sequence, main, membership_report_from_envelope
+from geomseq.errors import DomainError
+from geomseq.gdiff import MAX_ORDER, delta_binomial
+from geomseq.gseq import SUM_CHUNK
 
 from grammar import EXPRESSIONS
 
@@ -267,6 +271,189 @@ class TestFileInput:
         buf.write_text("1.0\nnot-a-number\n")
         proc = run_cli("eval", "--seq", str(buf), "--range", "1..1")
         assert proc.returncode == 1
+
+
+class _Discard(io.TextIOBase):
+    """A stdout that keeps none of the text written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _stdout_of(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _reference_rows(argv, seq, lo, hi, fmt) -> str:
+    """eval/diff output built as row dicts, with json.dumps(indent=2) or csv.writer."""
+    logs = seq.log_points(np.arange(lo, hi + 1, dtype=np.int64)).tolist()
+    rows = [{"k": k, "log_value": v, "rendering": GNum(v).render()} for k, v in enumerate(logs, lo)]
+    if fmt == "json":
+        inputs = {"seq": argv[argv.index("--seq") + 1]}
+        if argv[0] == "diff":
+            inputs["m"] = int(argv[argv.index("--m") + 1])
+        inputs["range"] = f"{lo}..{hi}"
+        return json.dumps({"command": argv[0], "inputs": inputs, "rows": rows}, indent=2) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["k", "log_value", "rendering"])
+    for row in rows:
+        writer.writerow([row["k"], repr(row["log_value"]), row["rendering"]])
+    return out.getvalue()
+
+
+#: Lines of a --logs buffer: its first differences reach +-Infinity, and
+#: its terms hold a negative zero, the least subnormal and 1e300.
+_EXTREME_LOGS = [1e308, 1e308, -1e308, -1e308, 1e308, -0.0, 5e-324, 1e300, -1e300, 0.5]
+
+
+class TestRowWriter:
+    """eval and diff write the same bytes as row dicts through json.dumps
+    or csv.writer would, at every piece boundary and at int64's end."""
+
+    LENGTHS = [1, SUM_CHUNK - 1, SUM_CHUNK, SUM_CHUNK + 1]
+
+    @pytest.fixture(scope="class")
+    def extreme(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("rows") / "extreme.txt"
+        lines = (_EXTREME_LOGS * (SUM_CHUNK // len(_EXTREME_LOGS) + 2))[: SUM_CHUNK + 8]
+        path.write_text("".join(f"{v!r}\n" for v in lines))
+        return str(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seq=st.sampled_from(["exp(1/k)", "exp(k^3)", "exp(k^2/1e300)", "exp(ln(k)/k)", "k", None]),
+        m=st.sampled_from([None, 0, 1, 2, 3]),
+        length=st.sampled_from(LENGTHS),
+        at_end=st.booleans(),
+        fmt=st.sampled_from(["json", "csv"]),
+    )
+    @example(seq=None, m=1, length=SUM_CHUNK + 1, at_end=False, fmt="json")
+    @example(seq=None, m=2, length=SUM_CHUNK, at_end=False, fmt="csv")
+    @example(seq="exp(1/k)", m=None, length=SUM_CHUNK + 1, at_end=True, fmt="json")
+    def test_rows_match_the_dict_writers(self, extreme, seq, m, length, at_end, fmt):
+        lo = 2**63 - length if at_end and seq is not None else 1
+        hi = lo + length - 1
+        argv = ["eval" if m is None else "diff", "--seq", seq or extreme] + ["--logs"] * (seq is None)
+        if m is not None:
+            argv += ["--m", str(m)]
+        argv += ["--range", f"{lo}..{hi}", "--format", fmt]
+        view = load_sequence(seq or extreme, logs=seq is None)
+        if m is not None:
+            view = delta_binomial(view, m)
+        try:
+            expected = _reference_rows(argv, view, lo, hi, fmt)
+        except GeometricError as exc:  # a float difference read past 2^63-1
+            code, out = _stdout_of(argv)
+            assert code == 1 and json.loads(out)["error"]["message"] == str(exc)
+            return
+        assert _stdout_of(argv) == (0, expected)
+
+    def test_non_finite_logs_are_written_as_json_and_repr_write_them(self, extreme, capsys):
+        for fmt, words in (("json", ["Infinity", "-Infinity"]), ("csv", [",inf,", ",-inf,"])):
+            assert main(["diff", "--seq", extreme, "--logs", "--m", "1", "--range", "1..6", "--format", fmt]) == 0
+            out = capsys.readouterr().out
+            assert all(word in out for word in words) and "e^inf" in out and "e^-inf" in out
+
+
+#: Line breaks str.splitlines() knows, and the lines a number file may hold.
+_BREAKS = ["\n", "\r\n", "\r", "\f", "\v", "\x1c", "\x85", "\u2028"]
+_LINES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.just(""),
+    st.sampled_from(["# comment", "  # indented comment", "#"]),
+    st.tuples(st.sampled_from(["", " ", "\t", "  "]), st.floats(1e-300, 1e300).map(repr),
+              st.sampled_from(["", " ", "\t "])).map("".join),
+    st.sampled_from(["not-a-number", "1.0.0", "  nope ", "0x10", "inf", "nan", "-0.0"]),
+)
+
+
+def _reference_load(path: Path, logs: bool):
+    """A number file read whole, as ``read_text().splitlines()`` gives its lines."""
+    values = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            values.append(float(stripped))
+        except ValueError:
+            raise DomainError(f"{path}:{lineno}: not a number: {stripped!r}") from None
+    arr = np.asarray(values, dtype=np.float64)
+    return seq_from_logs(arr) if logs else seq_from_values(arr)
+
+
+def _loaded(load, path: Path, logs: bool):
+    """The bits of the logs a loader reads, or its error's type and text."""
+    try:
+        seq = load(path, logs)
+    except (GeometricError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return seq.log_values(1, seq.length).view(np.int64).tolist() if seq.length else []
+
+
+class TestNumberReader:
+    """A --seq file read line by line gives the logs, or the error, of the
+    file read whole, for every line break str.splitlines() knows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=st.lists(_LINES, max_size=12),
+        breaks=st.lists(st.sampled_from(_BREAKS), min_size=1, max_size=3),
+        final=st.booleans(),
+        logs=st.booleans(),
+    )
+    def test_lines_and_errors_match_a_whole_read(self, lines, breaks, final, logs):
+        text = "".join(line + breaks[i % len(breaks)] for i, line in enumerate(lines))
+        if not final and text:
+            text = text[: -len(breaks[(len(lines) - 1) % len(breaks)])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "numbers.txt"
+            path.write_bytes(text.encode())
+            expected = _loaded(_reference_load, path, logs)
+            assert _loaded(lambda p, logs: load_sequence(str(p), logs), path, logs) == expected
+
+    @pytest.mark.parametrize("before", ["1.0\n" * 3000, "1.0\nnot-a-number\n" + "2.0\n" * 3000])
+    def test_undecodable_byte_past_the_first_read_keeps_its_envelope(self, tmp_path, before, capsys):
+        path = tmp_path / "undecodable.txt"
+        path.write_bytes(before.encode() + b"\xff\n3.0\n")
+        with pytest.raises(UnicodeDecodeError) as exc:
+            path.read_text()
+        assert main(["norm", "--seq", str(path), "--logs", "--N", "8"]) == 1
+        message = {"error": {"type": "UnicodeDecodeError", "message": str(exc.value)}}
+        assert capsys.readouterr().out == json.dumps(message, indent=2) + "\n"
+        assert f"position {len(before)}" in str(exc.value)
+
+
+def _peak_mb(argv) -> float:
+    """The traced peak of ``main(argv)``, its output discarded as written."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Rows are written piece by piece and files read line by line, so
+    neither keeps a Python object per row or per line."""
+
+    #: Beyond the logs (0.8 MB), a 16 384-row piece of json text (1.9 MB) and
+    #: its row strings (2.9 MB) while they are joined; csv rows are shorter.
+    #: One dict per row took 104.6 MB (json) and 44.5 MB (csv).
+    @pytest.mark.parametrize("fmt, bound", [("json", 8.0), ("csv", 5.0)])
+    def test_eval_rows_stay_within_a_piece(self, fmt, bound):
+        assert _peak_mb(["eval", "--seq", "exp(1/k)", "--range", "1..100000", "--format", fmt]) < bound
+
+    def test_file_read_stays_under_4_mb(self, tmp_path):
+        path = tmp_path / "logs.txt"
+        path.write_text("".join(f"{1.0 / k!r}\n" for k in range(1, 100_001)))
+        assert _peak_mb(["norm", "--seq", str(path), "--logs", "--N", "50000"]) < 4.0
 
 
 class TestErrors:
