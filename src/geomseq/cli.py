@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -36,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .duals import DualReport, dual_test
-from .errors import DomainError, GeometricError, ParseError
+from .errors import DomainError, GeometricError, ParseError, check_int
 from .garith import GNum
 from .gdiff import delta_binomial, delta_norm
 from .gseq import (
@@ -44,6 +43,8 @@ from .gseq import (
     DEFAULT_WINDOW,
     SUM_CHUNK,
     GSeq,
+    check_tol,
+    check_window,
     seq_from_expr,
     seq_from_logs,
     seq_from_values,
@@ -78,27 +79,25 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _usage(check, *args):
+    """A library argument check whose ``ValueError`` is a usage error."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _window_type(text: str) -> int:
-    n = int(text)
-    if n < 4:
-        raise argparse.ArgumentTypeError("N must be at least 4")
-    return n
+    return _usage(check_window, int(text), DEFAULT_TOL)
 
 
 def _order_type(text: str) -> int:
-    m = int(text)
-    if m < 0:
-        raise argparse.ArgumentTypeError("m must be non-negative")
-    return m
+    # not check_order: an order past MAX_ORDER is the library's UnsupportedOrder, exit 1
+    return _usage(check_int, int(text), "m", 0)
 
 
 def _tol_type(text: str) -> float:
-    t = float(text)
-    if not t > 0:
-        raise argparse.ArgumentTypeError("tol must be positive")
-    if t == math.inf:
-        raise argparse.ArgumentTypeError("tol must be finite")
-    return t
+    return _usage(check_tol, float(text))
 
 
 def _range_type(text: str) -> tuple[int, int]:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .codec import Report, json_key
-from .errors import NoSubsequenceFound, UnsupportedOrder
+from .errors import NoSubsequenceFound, UnsupportedOrder, check_int
 from .exprdsl import float_index
 from .garith import GNum
 from .gdiff import check_order
@@ -85,7 +85,7 @@ def alpha_dual_test(
 ) -> DualReport:
     """Summability of k^m |ln a_k| by the three-window protocol."""
     m = check_order(m)
-    check_window(N, tol)
+    N = check_window(N, tol)
     t_half, t_n, t_2n = window_scan(a, 1, window_ends(N), ExactSum(), weight=float(m))
     verdict = monotone_verdict(t_half, t_n, t_2n, N, tol)
     return DualReport("alpha", m, verdict, GNum(t_n))
@@ -162,7 +162,7 @@ def _first_order_test(kind: str, a: GSeq, N: int, tol: float) -> DualReport:
     """A condition on the partial sums S of k ln a_k, joined with the tail
     condition read as 0, A(N), A(N) + A(2N) (:func:`_tail_blocks`; m = 1):
     for beta S converges (is Cauchy-flat), for gamma sup |S| stabilizes."""
-    check_window(N, tol)
+    N = check_window(N, tol)
     ends, partials = window_ends(N), _PartialSums(N)
     (_, top_half), (s_n, top_n), (s_2n, top_2n) = window_scan(a, 1, ends, partials)
     if kind == "beta":
@@ -216,7 +216,7 @@ def dual_test(
         return alpha_dual_test(a, m, N, tol)
     if name == "alpha_alpha":
         return alpha_alpha_dual_test(a, m, N, tol)
-    if m != 1:
+    if check_order(m) != 1:
         raise UnsupportedOrder(
             f"the {name} dual test is defined for m = 1 only, got m = {m}"
         )
@@ -235,17 +235,16 @@ def counterexample_sequence(
     then places the geometric inverse of |a_{k(i)}| at k(i) and the
     geometric zero elsewhere.  The result has sum k^m |ln x_k| dominated by
     sum i^-m over the selected indices.  The terms come in engine pieces
-    (:meth:`~geomseq.gseq.GSeq.log_chunks`) up to the count-th hit; a piece
-    that fails to read ends the search with its own error.
+    (:meth:`~geomseq.gseq.GSeq.log_chunks`) up to the count-th hit, the
+    first four of 1024, 1024, 2048 and 4096 terms so that an early hit reads
+    few; a piece that fails to read ends the search with its own error.
     """
     m = check_order(m)
-    if not isinstance(count, int) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    if not isinstance(search_window, int) or search_window < 1:
-        raise ValueError(f"search_window must be a positive integer, got {search_window!r}")
+    count = check_int(count, "count", 1)
+    search_window = check_int(search_window, "search_window", 1)
     limit = search_window if a.length is None else min(search_window, a.length)
     entries: dict[int, float] = {}
-    for k, logs in a.log_chunks(1, limit) if limit else ():
+    for k, logs in a.log_chunks(1, limit, (1024, 2048, 4096, 8192)) if limit else ():
         for idx, log in enumerate(logs.tolist(), k):
             if abs(log) * float(idx) ** (-m) > float(len(entries) + 1) ** m:
                 entries[idx] = 1.0 / abs(log)

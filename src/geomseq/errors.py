@@ -1,10 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and :func:`check_int`, the one
+rule for integer arguments (an order, a window, a count) of library and CLI.
 
 Every domain error derives from :class:`GeometricError` and, where it makes
 sense, from the matching builtin so generic handlers keep working.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "GeometricError",
@@ -16,6 +19,14 @@ __all__ = [
     "NoSubsequenceFound",
     "UnsupportedOrder",
 ]
+
+
+def check_int(value, name: str, low: int | None = None) -> int:
+    """``value`` as an ``int`` if it is an ``int`` or a numpy integer, not a
+    ``bool``, at or above ``low``; else a ``ValueError`` naming the argument."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and (low is None or value >= low):
+        return int(value)
+    raise ValueError(f"{name} must be an integer{'' if low is None else f' >= {low}'}, got {value!r}")
 
 
 class GeometricError(Exception):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, GeometricZeroDivisor, NonPositiveValue
+from .errors import DomainError, GeometricZeroDivisor, NonPositiveValue, check_int
 
 __all__ = [
     "GNum",
@@ -133,9 +133,7 @@ def gpow(x: GNum, p: int) -> GNum:
     ``p = 0`` yields the geometric unit e for every x, matching the
     convention used by the binomial expansion of the difference operator.
     """
-    if not isinstance(p, int) or p < 0:
-        raise ValueError(f"geometric power wants a nonnegative integer, got {p!r}")
-    return GNum(x.log_value**p)
+    return GNum(x.log_value ** check_int(p, "p", 0))
 
 
 def ginv(x: GNum) -> GNum:
@@ -149,6 +147,4 @@ def ginv(x: GNum) -> GNum:
 
 def natural(n: int) -> GNum:
     """The geometric image e^n of the integer n (geometric counting)."""
-    if not isinstance(n, int):
-        raise ValueError(f"natural() wants an integer, got {n!r}")
-    return GNum(float(n))
+    return GNum(float(check_int(n, "n")))

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UnsupportedOrder
+from .errors import UnsupportedOrder, check_int
 from .garith import GNum
 from .gseq import ExactSum, GSeq, sup_gabs
 
@@ -46,9 +46,9 @@ __all__ = [
 MAX_ORDER = 60
 
 
-def check_order(m: int) -> int:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"difference order must be a nonnegative integer, got {m!r}")
+def check_order(m: int, name: str = "m") -> int:
+    """The order as an ``int`` >= 0 (:func:`~geomseq.errors.check_int`), at most MAX_ORDER."""
+    m = check_int(m, name, 0)
     if m > MAX_ORDER:
         raise UnsupportedOrder(f"difference order {m} exceeds the supported maximum {MAX_ORDER}")
     return m
@@ -150,8 +150,7 @@ def delta_norm(x: GSeq, m: int, N: int) -> GNum:
     over k <= N.  In logs: sum of |ln x_i| plus max |ln (delta^m x)_k|.
     """
     m = check_order(m)
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"norm window must be a positive integer, got {N!r}")
+    N = check_int(N, "N", 1)
     head = ExactSum()
     head.add(1, np.abs(x.log_points(np.arange(1, m + 1))))
     return GNum(head.read() + sup_gabs(delta_binomial(x, m), N).log_value)

@@ -61,7 +61,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .codec import Report, json_key
-from .errors import DomainError, IndexOutOfRange, NonPositiveValue
+from .errors import DomainError, IndexOutOfRange, NonPositiveValue, check_int
 from .garith import GNum
 from . import exprdsl
 from .exprdsl import ExprAst
@@ -220,20 +220,22 @@ def series_verdict(
     return Verdict(kind, estimate, n, s_n, s_2n, why)
 
 
-def check_window(N: int, tol: float) -> None:
-    """Reject a probe window below 4 or a tolerance that is not positive and
-    finite."""
-    if not isinstance(N, int) or N < 4:
-        raise ValueError(f"the probe window needs N >= 4, got {N!r}")
-    _check_tol(tol)
+def check_window(N: int, tol: float) -> int:
+    """The probe window N as an ``int`` >= 4 (:func:`~geomseq.errors.check_int`),
+    and tol checked by :func:`check_tol`; the CLI's ``--N`` calls it too."""
+    N = check_int(N, "N", 4)
+    check_tol(tol)
+    return N
 
 
-def _check_tol(tol: float) -> None:
-    """An infinite tol would call every statistic stable."""
+def check_tol(tol: float) -> float:
+    """tol, if positive and finite (an infinite tol would call every statistic
+    stable), else a ``ValueError``; the CLI's ``--tol`` calls it too."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if tol == math.inf:
         raise ValueError(f"tol must be finite, got {tol!r}")
+    return tol
 
 
 #: Terms per chunk of every window scan (:meth:`GSeq.log_chunks`) and of
@@ -517,8 +519,7 @@ class GSeq:
     def log_values(self, start: int, count: int) -> np.ndarray:
         """Float64 logs of terms start .. start+count-1."""
         start = self._bounded(start)
-        if count < 0:
-            raise ValueError(f"count must be nonnegative, got {count}")
+        count = check_int(count, "count", 0)
         if count:
             self._bounded(start + count - 1)
         with np.errstate(over="ignore"):
@@ -636,7 +637,7 @@ class SparseLogSeq(GSeq):
     """Geometric zero everywhere except finitely many stored logs."""
 
     def __init__(self, entries: dict[int, float]):
-        self._entries = {_check_index(int(k)): float(v) for k, v in entries.items()}
+        self._entries = {_check_index(k): float(v) for k, v in entries.items()}
 
     def __repr__(self) -> str:
         return f"SparseLogSeq(<{len(self._entries)} nonzero terms>)"
@@ -654,15 +655,16 @@ class SparseLogSeq(GSeq):
 
 
 class _BinaryView(GSeq):
-    #: The termwise operation on logs, exact or float.
-    _op: Callable = operator.add
+    """Termwise a op b on the logs, exact or float: ``operator.add`` for the
+    geometric sum, ``operator.mul`` for the geometric product."""
 
-    def __init__(self, a: GSeq, b: GSeq):
+    def __init__(self, a: GSeq, b: GSeq, op: Callable):
         self.a = a
         self.b = b
+        self._op = op
         fa, fb = a.exact_form, b.exact_form
         if fa is not None and fb is not None:
-            self.exact_form = fa.combine(fb, self._op)
+            self.exact_form = fa.combine(fb, op)
 
     @property
     def length(self) -> Optional[int]:
@@ -670,16 +672,6 @@ class _BinaryView(GSeq):
 
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
         return self._op(self.a._windows(starts, count), self.b._windows(starts, count))
-
-
-class OplusView(_BinaryView):
-    """Termwise geometric sum: logs add."""
-
-
-class OdotView(_BinaryView):
-    """Termwise geometric product: logs multiply."""
-
-    _op = operator.mul
 
 
 def seq_from_expr(src: str | ExprAst) -> ExpressionSeq:
@@ -705,16 +697,16 @@ def seq_constant(g: GNum) -> ConstantSeq:
 
 
 def seq_oplus(x: GSeq, y: GSeq) -> GSeq:
-    return OplusView(x, y)
+    return _BinaryView(x, y, operator.add)
 
 
 def seq_odot(x: GSeq, y: GSeq) -> GSeq:
-    return OdotView(x, y)
+    return _BinaryView(x, y, operator.mul)
 
 
 def seq_scale(alpha: GNum, x: GSeq) -> GSeq:
     """Geometric scalar multiple alpha (*) x_k, i.e. logs scaled by ln(alpha)."""
-    return OdotView(ConstantSeq(alpha), x)
+    return _BinaryView(ConstantSeq(alpha), x, operator.mul)
 
 
 # ---------------------------------------------------------------------------
@@ -729,17 +721,13 @@ def term(x: GSeq, k: int) -> GNum:
 def gsum_partial(x: GSeq, n: int) -> GNum:
     """Geometric partial sum of the first n terms: exp of the correctly
     rounded sum of their logs (:class:`ExactSum`)."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"partial sums want a nonnegative term count, got {n!r}")
-    if n == 0:
-        return GNum(0.0)
-    return GNum(window_scan(x, 1, (n,), ExactSum())[0])
+    n = check_int(n, "n", 0)
+    return GNum(window_scan(x, 1, (n,), ExactSum())[0] if n else 0.0)
 
 
 def sup_gabs(x: GSeq, N: int) -> GNum:
     """Supremum of the geometric absolute values of the first N terms."""
-    if not isinstance(N, int) or N < 1:
-        raise ValueError(f"sup window must be a positive integer, got {N!r}")
+    N = check_int(N, "N", 1)
     return GNum(window_scan(x, 1, (N,), RunningMax(), weight=0.0)[0])
 
 
@@ -752,7 +740,7 @@ def _limit_probe_detail(
     x: GSeq, N: int, tol: float
 ) -> tuple[Verdict, Optional[int]]:
     """Shared core of the limit probe; also reports a divergence witness."""
-    check_window(N, tol)
+    N = check_window(N, tol)
     ks1 = _probe_ks(N // 2, N)
     all_ks = np.concatenate([ks1, _probe_ks(N, 2 * N)])
     all_logs = x.log_points(all_ks)
@@ -799,11 +787,9 @@ def remainder(
     tol, diverged when the discrepancy keeps pace with the previous window
     or the tail leaves the magnitude limit.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"tail start must be a nonnegative integer, got {n!r}")
-    if not isinstance(N, int) or N <= n + 1:
-        raise ValueError(f"window N must exceed n + 1, got N={N!r}, n={n!r}")
-    _check_tol(tol)
+    n = check_int(n, "n", 0)
+    N = check_int(N, "N", n + 2)
+    check_tol(tol)
     t_half, t_n, t_2n = window_scan(a, n + 1, window_ends(N, n + 1), ExactSum())
     tail = GNum(t_n)
     d2 = abs(t_2n - t_n)

@@ -94,7 +94,7 @@ def classify(
     if space not in SPACES:
         raise ValueError(f"space must be one of {SPACES}, got {space!r}")
     m = check_order(m)
-    check_window(N, tol)
+    N = check_window(N, tol)
     diff = delta_binomial(x, m)
 
     if space == "linf":
@@ -133,8 +133,8 @@ def weighted_sup(
     stability through 2N by the shared protocol.  The weight may be +-inf
     but not NaN.
     """
-    diff_order = check_order(diff_order)
-    check_window(N, tol)
+    diff_order = check_order(diff_order, "diff_order")
+    N = check_window(N, tol)
     weight_exp = float(weight_exp)
     if math.isnan(weight_exp):
         raise ValueError("weight_exp must be a number or +-inf, got nan")
@@ -180,7 +180,7 @@ def lemma_equivalence_check(
     sup (1/k)|ln x_k|; part (b)(ii) is sup |ln x_k - (k/(k+1)) ln x_{k+1}|.
     The report exposes whether (a) agrees with the conjunction of (b).
     """
-    check_window(N, tol)
+    N = check_window(N, tol)
     # Term k pairs with term k+1, so a scan read through term e + 1 has
     # every pair of the window ending at e.
     sups = window_scan(x, 1, tuple(e + 1 for e in window_ends(N)), _PairSups())

@@ -575,7 +575,7 @@ class TestUsage:
         assert exc.value.code == 64
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.endswith(f"argument --tol: tol must be {message}\n")
+        assert err.endswith(f"argument --tol: tol must be {message}, got {float(tol)!r}\n")
 
 
 class TestRobustness:

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geomseq import (
     DualReport,
+    GeometricError,
     NoSubsequenceFound,
     UnsupportedOrder,
     VerdictKind,
@@ -283,11 +284,11 @@ def reference_search(a, m, count, search_window):
 
 
 def _search_outcome(search, a, m, count, window):
-    """The support and the ``.hex()`` of each stored log, or the error text."""
+    """The support and the ``.hex()`` of each stored log, or the error's type and text."""
     try:
         x = search(a, m, count, window)
-    except NoSubsequenceFound as exc:
-        return str(exc)
+    except GeometricError as exc:
+        return type(exc).__name__, str(exc)
     return x.support, [x.log_at(k).hex() for k in x.support]
 
 
@@ -343,6 +344,14 @@ class TestCounterexample:
                     expected = _search_outcome(reference_search, entry.seq, m, count, 17_000)
                     got = _search_outcome(counterexample_sequence, entry.seq, m, count, 17_000)
                     assert got == expected, (entry.name, m, count)
+
+    def test_early_hits_stop_before_a_later_pole(self):
+        """The hits are k = 2, 3 and 4; the pole at k = 1500 lies past the
+        first 1024 terms, which the block reader reads and no further."""
+        a = seq_from_expr("exp(k^2+1/(k-1500))")
+        expected = _search_outcome(reference_search, a, 1, 3, 17_000)
+        assert expected[0] == (2, 3, 4)
+        assert _search_outcome(counterexample_sequence, a, 1, 3, 17_000) == expected
 
     def test_empty_buffer_has_no_subsequence(self):
         empty = seq_from_logs(np.zeros(0))
