@@ -26,21 +26,19 @@ Exit status: 0 definite verdict, 2 inconclusive, 1 error, 64 usage.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from pathlib import Path
+from typing import TYPE_CHECKING, NoReturn
 
 import numpy as np
 
-from .duals import DualReport, dual_test
 from .errors import DomainError, GeometricError, ParseError, check_int
 from .garith import GNum
-from .gdiff import delta_binomial, delta_norm
 from .gseq import (
     DEFAULT_TOL,
     DEFAULT_WINDOW,
+    SPACES,
     SUM_CHUNK,
     GSeq,
     check_tol,
@@ -49,17 +47,15 @@ from .gseq import (
     seq_from_logs,
     seq_from_values,
 )
-from .spaces import (
-    SPACES,
-    MembershipReport,
-    algebra_counterexample,
-    classify,
-    inclusion_demo,
-    lemma_equivalence_check,
-)
+
+# gdiff, spaces, duals and csv are imported by the commands that use them.
+if TYPE_CHECKING:
+    from .duals import DualReport
+    from .spaces import MembershipReport
 
 __all__ = [
     "main",
+    "run",
     "load_sequence",
     "membership_report_from_envelope",
     "dual_report_from_envelope",
@@ -79,25 +75,31 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _usage(check, *args):
-    """A library argument check whose ``ValueError`` is a usage error."""
+def _usage(parse, text: str, check, *args):
+    """A library argument check of the parsed text, whose ``ValueError`` is a
+    usage error.  Text that does not parse goes to the check as it is, so the
+    message states the library's rule either way."""
     try:
-        return check(*args)
+        value = parse(text)
+    except ValueError:
+        value = text
+    try:
+        return check(value, *args)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _window_type(text: str) -> int:
-    return _usage(check_window, int(text), DEFAULT_TOL)
+    return _usage(int, text, check_window, DEFAULT_TOL)
 
 
 def _order_type(text: str) -> int:
     # not check_order: an order past MAX_ORDER is the library's UnsupportedOrder, exit 1
-    return _usage(check_int, int(text), "m", 0)
+    return _usage(int, text, check_int, "m", 0)
 
 
 def _tol_type(text: str) -> float:
-    return _usage(check_tol, float(text))
+    return _usage(float, text, check_tol)
 
 
 def _range_type(text: str) -> tuple[int, int]:
@@ -121,7 +123,8 @@ def load_sequence(spec: str, logs: bool = False) -> GSeq:
         with open(spec) as f:
             arr = np.fromiter(_numbers(f, spec), dtype=np.float64)
     except UnicodeDecodeError:
-        Path(spec).read_text()  # the same error, its byte position counted from the file's start
+        with open(spec) as f:
+            f.read()  # the same error, its byte position counted from the file's start
         raise
     return seq_from_logs(arr) if logs else seq_from_values(arr)
 
@@ -232,11 +235,15 @@ def _report_from_envelope(cls, name: str, env: dict):
 
 def membership_report_from_envelope(env: dict) -> MembershipReport:
     """Rebuild the classify report from its JSON envelope."""
+    from .spaces import MembershipReport
+
     return _report_from_envelope(MembershipReport, "space", env)
 
 
 def dual_report_from_envelope(env: dict) -> DualReport:
     """Rebuild the dual report from its JSON envelope."""
+    from .duals import DualReport
+
     return _report_from_envelope(DualReport, "kind", env)
 
 
@@ -292,6 +299,8 @@ def _emit(env: dict, args) -> None:
     elif fmt == "json":
         print(json.dumps(env, indent=2))
     else:
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["key", "value"])
         for key, val in _flatten(env):
@@ -302,8 +311,10 @@ def _exit_for(*verdict_kinds: str) -> int:
     return EXIT_INCONCLUSIVE if "inconclusive" in verdict_kinds else EXIT_OK
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run_command(args: argparse.Namespace) -> int:
     if args.command == "demo":
+        from .spaces import algebra_counterexample, inclusion_demo
+
         demo = inclusion_demo if args.which == "inclusion" else algebra_counterexample
         report = demo(args.m, args.N, args.tol)
         body = report.to_dict()
@@ -322,11 +333,17 @@ def _sequence_command(args: argparse.Namespace, seq: GSeq) -> tuple[dict, int]:
     if args.command == "eval":
         return _rows_envelope(args, seq), EXIT_OK
     if args.command == "diff":
+        from .gdiff import delta_binomial
+
         return _rows_envelope(args, delta_binomial(seq, args.m)), EXIT_OK
     if args.command == "norm":
+        from .gdiff import delta_norm
+
         g = delta_norm(seq, args.m, args.N)
         return _envelope(args, log_value=g.log_value, rendering=g.render()), EXIT_OK
     if args.command == "lemma":
+        from .spaces import lemma_equivalence_check
+
         report = lemma_equivalence_check(seq, args.N, args.tol)
         env = _envelope(
             args, agreement=report.agreement, has_inconclusive=report.has_inconclusive,
@@ -335,8 +352,12 @@ def _sequence_command(args: argparse.Namespace, seq: GSeq) -> tuple[dict, int]:
         )
         return env, EXIT_INCONCLUSIVE if report.has_inconclusive else EXIT_OK
     if args.command == "classify":
+        from .spaces import classify
+
         report = classify(seq, args.space, args.m, args.N, args.tol)
     else:
+        from .duals import dual_test
+
         report = dual_test(seq, args.kind, args.m, args.N, args.tol)
     return _verdict_envelope(report, args), _exit_for(report.verdict.kind.value)
 
@@ -351,11 +372,13 @@ def _error_payload(exc: BaseException) -> dict:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit status; argparse's usage errors
+    and ``--help`` raise ``SystemExit``."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         try:
-            code = _run(args)
+            code = _run_command(args)
         except (GeometricError, ValueError, OverflowError, LookupError, OSError, MemoryError) as exc:
             print(json.dumps(_error_payload(exc), indent=2))
             code = EXIT_ERROR
@@ -367,5 +390,22 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """The process entry point of ``python -m geomseq`` and the ``geomseq``
+    script: :func:`main`, then ``os._exit`` with its code once stdout and
+    stderr are flushed, so the process skips interpreter teardown (module and
+    numpy finalization), which costs more than most commands' own work.
+
+    ``os._exit`` runs no ``atexit`` handler and flushes no other stream: one
+    added later, say a ``logging`` handler, must be flushed here first.  A
+    ``SystemExit`` from argparse (usage, ``--help``) and an exception the
+    command does not catch leave the normal way.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

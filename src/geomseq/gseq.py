@@ -52,6 +52,7 @@ as the reversed cumsum of the block's logs.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from enum import Enum
@@ -96,6 +97,10 @@ DEFAULT_WINDOW = 100_000
 
 #: Default stabilization tolerance (log domain).
 DEFAULT_TOL = 1e-6
+
+#: The difference spaces :func:`geomseq.spaces.classify` decides, exported
+#: there; defined here so the CLI's ``--space`` choices do not load it.
+SPACES = ("linf", "c", "c0")
 
 #: A log magnitude beyond this is treated as divergence outright.
 LOG_MAGNITUDE_LIMIT = 1e6
@@ -229,9 +234,9 @@ def check_window(N: int, tol: float) -> int:
 
 
 def check_tol(tol: float) -> float:
-    """tol, if positive and finite (an infinite tol would call every statistic
-    stable), else a ``ValueError``; the CLI's ``--tol`` calls it too."""
-    if not tol > 0:
+    """tol, if a positive and finite real (an infinite tol would call every
+    statistic stable), else a ``ValueError``; the CLI's ``--tol`` calls it too."""
+    if not (isinstance(tol, numbers.Real) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     if tol == math.inf:
         raise ValueError(f"tol must be finite, got {tol!r}")

@@ -34,6 +34,7 @@ from .gdiff import check_order, delta_binomial
 from .gseq import (
     DEFAULT_TOL,
     DEFAULT_WINDOW,
+    SPACES,
     GSeq,
     RunningMax,
     Verdict,
@@ -60,8 +61,6 @@ __all__ = [
     "inclusion_demo",
     "algebra_counterexample",
 ]
-
-SPACES = ("linf", "c", "c0")
 
 
 @dataclass(frozen=True)

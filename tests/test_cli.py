@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -576,6 +577,106 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.endswith(f"argument --tol: tol must be {message}, got {float(tol)!r}\n")
+
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("--N", "1.5", "N must be an integer >= 4, got '1.5'"),
+            ("--m", "x", "m must be an integer >= 0, got 'x'"),
+            ("--tol", "abc", "tol must be positive, got 'abc'"),
+        ],
+    )
+    def test_text_that_does_not_parse_gets_the_library_rule(self, flag, text, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--seq", "exp(k)", "--space", "c", flag, text])
+        assert exc.value.code == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"argument {flag}: {message}\n")
+        assert "_type" not in err  # argparse's generic message names the type function
+
+
+#: One command in a fresh interpreter; prints the geomseq modules it loaded.
+MODULES_OF = """
+import contextlib, io, sys
+from geomseq import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+print(*sorted(name.split(".")[1] for name in sys.modules if name.startswith("geomseq.")))
+"""
+
+COMMANDS = {
+    "eval": ("eval", "--seq", "exp(1/k)", "--range", "1..5"),
+    "diff": ("diff", "--seq", "exp(k^2)", "--m", "2", "--range", "1..5"),
+    "norm": ("norm", "--seq", "exp(k)", "--m", "1", "--N", "1000"),
+    "classify": ("classify", "--seq", "exp(k)", "--space", "c0", "--m", "2", "--N", "1000"),
+    "dual": ("dual", "--kind", "alpha", "--m", "2", "--seq", "exp(1/(k^4))", "--N", "1000"),
+    "lemma": ("lemma", "--seq", "exp(k)", "--N", "1000"),
+    "demo": ("demo", "--which", "inclusion", "--m", "2", "--N", "1000"),
+}
+
+
+class TestModuleSets:
+    """A command imports only the modules it uses."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self):
+        def modules(argv):
+            proc = subprocess.run([sys.executable, "-c", MODULES_OF, *argv],
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return set(proc.stdout.split())
+
+        return {command: modules(argv) for command, argv in COMMANDS.items()}
+
+    def test_eval_loads_no_deferred_module(self, loaded):
+        assert "gseq" in loaded["eval"]
+        assert not loaded["eval"] & {"gdiff", "spaces", "duals", "catalog"}
+
+    @pytest.mark.parametrize("command", ["diff", "norm"])
+    def test_differences_add_only_gdiff(self, loaded, command):
+        assert loaded[command] == loaded["eval"] | {"gdiff"}
+
+    @pytest.mark.parametrize("command", ["classify", "lemma", "demo"])
+    def test_spaces_commands_load_no_duals(self, loaded, command):
+        assert "spaces" in loaded[command]
+        assert not loaded[command] & {"duals", "catalog"}
+
+    def test_no_command_loads_the_catalog(self, loaded):
+        assert loaded["dual"] >= {"gdiff", "spaces", "duals"}
+        assert all("catalog" not in modules for modules in loaded.values())
+
+
+class TestHardExit:
+    """``python -m geomseq`` ends with ``os._exit`` once its output is flushed."""
+
+    @staticmethod
+    def _eval(fmt):
+        proc = subprocess.run(
+            [sys.executable, "-m", "geomseq", "eval", "--seq", "exp(1/k)", "--range", "1..200000",
+             "--format", fmt],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONUNBUFFERED": ""},  # a block-buffered stdout, as in a pipeline
+        )
+        assert proc.returncode == 0 and proc.stderr == b""
+        return proc.stdout.decode()
+
+    def test_csv_rows_reach_the_pipe_whole(self):
+        lines = self._eval("csv").split("\n")
+        assert lines.pop() == ""  # the text ends in a newline
+        assert len(lines) == 200_001
+        assert lines[-1] == "200000,5e-06,e^5e-06"
+
+    def test_json_rows_reach_the_pipe_whole(self):
+        out = self._eval("json")
+        assert out.endswith("\n  ]\n}\n")
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 200_000 and rows[-1]["k"] == 200_000
+
+    def test_help_keeps_the_normal_exit(self):
+        proc = run_cli("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: geomseq")
 
 
 class TestRobustness:

@@ -278,7 +278,7 @@ class TestRemainder:
     @pytest.mark.parametrize(
         "tol, message",
         [(math.inf, "tol must be finite, got inf"), (0.0, "tol must be positive, got 0.0"),
-         (math.nan, "tol must be positive, got nan")],
+         (math.nan, "tol must be positive, got nan"), ("1e-6", "tol must be positive, got '1e-6'")],
     )
     def test_tol_must_be_positive_and_finite(self, tol, message):
         """An infinite tol would call every tail, and every statistic, stable."""
