@@ -24,10 +24,12 @@ The per-term Fraction reference for these exact logs is test code
 Boundedness, convergence and summability over an infinite index set are
 undecidable from finitely many terms, so every numeric claim is issued as a
 :class:`Verdict` produced by a fixed probing protocol: evaluate a statistic
-at windows N/2, N and 2N, then classify by stabilization (growth below
-tol), geometric decay of increments (ratio <= 0.8), persistent growth
-(ratio >= 0.95 or log magnitude beyond 1e6), or give up and say so.  The
-thresholds are package constants, shared by every caller.
+at windows N/2, N and 2N, then decide by one rule, :func:`_ratio_rule`, in
+this order: stabilization (growth below tol, where float64 resolves tol at
+the statistic's size), a log magnitude beyond 1e6,
+geometric decay of increments (ratio <= 0.8), persistent growth (ratio >=
+0.95), or give up and say so.  The thresholds are package constants,
+shared by every caller.
 
 Every bulk read takes the pieces of :meth:`GSeq.log_chunks`: at most
 :data:`SUM_CHUNK` terms, ending also at N/2, N and 2N, so memory does not
@@ -156,6 +158,26 @@ def conjunction(*verdicts: Verdict) -> VerdictKind:
     return VerdictKind.INCONCLUSIVE
 
 
+def _ratio_rule(d1: float, d2: float, magnitude: float, tol: float) -> tuple[VerdictKind, str]:
+    """The one verdict rule, from how far a statistic moves over [N/2, N]
+    (d1) and over [N, 2N] (d2) and how large it is: a flat d2 is finite
+    where float64 resolves tol at that magnitude (from 2^33, about 8.6e9,
+    it does not, and a statistic can read flat by rounding alone); else past
+    :data:`LOG_MAGNITUDE_LIMIT`, or not finite, is diverged; else a jump
+    after a flat d1 is inconclusive; else the ratio d2 / d1 decides."""
+    if d2 < tol and math.ulp(magnitude) < tol:
+        return VerdictKind.FINITE, "stabilized: growth below tol between N and 2N"
+    if not (math.isfinite(magnitude) and magnitude <= LOG_MAGNITUDE_LIMIT):
+        return VerdictKind.DIVERGED, "statistic beyond the log magnitude limit"
+    if d1 < tol:
+        return VerdictKind.INCONCLUSIVE, "statistic jumped after having been flat"
+    if (ratio := d2 / d1) <= RATIO_FINITE:
+        return VerdictKind.FINITE, f"increments decaying geometrically (ratio {ratio:.3f})"
+    if ratio >= RATIO_DIVERGED:
+        return VerdictKind.DIVERGED, f"increments not shrinking (ratio {ratio:.3f})"
+    return VerdictKind.INCONCLUSIVE, f"increment ratio {ratio:.3f} in the undecided band"
+
+
 def monotone_verdict(
     t_half: float,
     t_n: float,
@@ -164,20 +186,7 @@ def monotone_verdict(
     tol: float,
 ) -> Verdict:
     """Classify a nondecreasing statistic from its three window values."""
-    d1 = t_n - t_half
-    d2 = t_2n - t_n
-    if t_2n > LOG_MAGNITUDE_LIMIT:
-        kind, why = VerdictKind.DIVERGED, "statistic beyond the log magnitude limit"
-    elif d2 < tol:
-        kind, why = VerdictKind.FINITE, "stabilized: growth below tol between N and 2N"
-    elif d1 < tol:
-        kind, why = VerdictKind.INCONCLUSIVE, "statistic jumped after having been flat"
-    elif (ratio := d2 / d1) <= RATIO_FINITE:
-        kind, why = VerdictKind.FINITE, f"increments decaying geometrically (ratio {ratio:.3f})"
-    elif ratio >= RATIO_DIVERGED:
-        kind, why = VerdictKind.DIVERGED, f"increments not shrinking (ratio {ratio:.3f})"
-    else:
-        kind, why = VerdictKind.INCONCLUSIVE, f"increment ratio {ratio:.3f} in the undecided band"
+    kind, why = _ratio_rule(t_n - t_half, t_2n - t_n, t_2n, tol)
     estimate = GNum(float(t_2n)) if kind is VerdictKind.FINITE else None
     return Verdict(kind, estimate, window, t_n, t_2n, why)
 
@@ -207,20 +216,12 @@ def series_verdict(
 ) -> Verdict:
     """Convergence of a signed series from its partial sums S: S_N, S_2N,
     the sup of |S| through 2N, and the (min, max) of S over [N/2, N] and
-    over [N, 2N].  Convergent iff S is Cauchy-flat (oscillation max - min
-    below tol) over both."""
-    if mag > LOG_MAGNITUDE_LIMIT:  # decided first: max - min there may be inf - inf
-        kind, why = VerdictKind.DIVERGED, "partial sums beyond the log magnitude limit"
-    else:
-        osc1, osc2 = float(range1[1] - range1[0]), float(range2[1] - range2[0])
-        if osc1 < tol and osc2 < tol:
-            kind, why = VerdictKind.FINITE, "partial sums Cauchy-flat over both half-windows"
-        elif osc1 >= tol and osc2 >= 0.5 * osc1:
-            kind, why = VerdictKind.DIVERGED, (
-                f"partial-sum oscillation persists ({osc1:.3g} then {osc2:.3g})"
-            )
-        else:
-            kind, why = VerdictKind.INCONCLUSIVE, "oscillation shrinking but not resolved at this window"
+    over [N, 2N].  The two oscillations max - min are the moves that
+    :func:`_ratio_rule` reads, with sup |S| as the magnitude; a finite
+    verdict estimates S_2N."""
+    osc1 = float(range1[1]) - float(range1[0])  # Python floats: inf - inf is nan, unwarned
+    osc2 = float(range2[1]) - float(range2[0])
+    kind, why = _ratio_rule(osc1, osc2, mag, tol)
     estimate = GNum(s_2n) if kind is VerdictKind.FINITE else None
     return Verdict(kind, estimate, n, s_n, s_2n, why)
 
@@ -234,9 +235,9 @@ def check_window(N: int, tol: float) -> int:
 
 
 def check_tol(tol: float) -> float:
-    """tol, if a positive and finite real (an infinite tol would call every
-    statistic stable), else a ``ValueError``; the CLI's ``--tol`` calls it too."""
-    if not (isinstance(tol, numbers.Real) and tol > 0):
+    """tol, if a positive and finite real but no ``bool`` (an infinite tol would call
+    every statistic stable), else a ``ValueError``; the CLI's ``--tol`` calls it too."""
+    if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
     if tol == math.inf:
         raise ValueError(f"tol must be finite, got {tol!r}")
@@ -737,8 +738,9 @@ def sup_gabs(x: GSeq, N: int) -> GNum:
 
 
 def _probe_ks(lo: int, hi: int) -> np.ndarray:
-    lo = max(1, lo)
-    return np.unique(np.linspace(lo, hi, PROBE_POINTS).round().astype(np.int64))
+    """:data:`PROBE_POINTS` sorted indices spread over [lo, hi], repeats dropped."""
+    ks = np.linspace(max(1, lo), hi, PROBE_POINTS).round().astype(np.int64)
+    return ks[np.concatenate(([True], ks[1:] != ks[:-1]))]
 
 
 def _limit_probe_detail(
@@ -752,10 +754,11 @@ def _limit_probe_detail(
     logs1, logs2 = all_logs[: len(ks1)], all_logs[len(ks1) :]
 
     i_max = int(np.argmax(np.abs(all_logs)))
-    if abs(all_logs[i_max]) > LOG_MAGNITUDE_LIMIT:
-        kind, why = VerdictKind.DIVERGED, "log magnitude beyond the divergence limit"
-    elif (osc := float(np.max(all_logs) - np.min(all_logs))) < tol:
+    osc = float(np.max(all_logs)) - float(np.min(all_logs))  # Python floats: inf - inf is nan, unwarned
+    if osc < tol and math.ulp(all_logs[i_max]) < tol:  # flat, and not by rounding alone
         kind, why = VerdictKind.FINITE, f"log oscillation {osc:.3g} below tol across [N/2, 2N]"
+    elif abs(all_logs[i_max]) > LOG_MAGNITUDE_LIMIT:
+        kind, why = VerdictKind.DIVERGED, "log magnitude beyond the divergence limit"
     elif (
         np.all(np.diff(np.abs(all_logs)) >= 0.0)
         and abs(logs1[-1]) - abs(logs1[0]) > tol
@@ -766,7 +769,10 @@ def _limit_probe_detail(
     else:
         kind = VerdictKind.INCONCLUSIVE
         why = f"oscillation {osc:.3g} above tol without monotone growth"
-    estimate = GNum(float(np.median(logs2))) if kind is VerdictKind.FINITE else None
+    # the median of the late samples, as np.median takes it (which would load numpy.ma)
+    late, mid = np.sort(logs2).tolist(), len(logs2) // 2
+    median = late[mid] if len(late) % 2 else (late[mid - 1] + late[mid]) / 2
+    estimate = GNum(median) if kind is VerdictKind.FINITE else None
     verdict = Verdict(kind, estimate, N, float(logs1[-1]), float(logs2[-1]), why)
     return verdict, int(all_ks[i_max])
 
@@ -775,8 +781,11 @@ def g_limit_probe(x: GSeq, N: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL) ->
     """Probe for a geometric limit by sampling logs over [N/2, 2N].
 
     Finite (converged) when the sampled logs vary by less than tol, with the
-    median of the late window as the estimate; diverged when |log| runs away
-    monotonically or past the magnitude limit; inconclusive otherwise.
+    median of the late window as the estimate; this is tested first, so a
+    constant past the magnitude limit is finite, as long as float64 resolves
+    tol at its size (as in :func:`_ratio_rule`).  Otherwise diverged when
+    |log| passes the magnitude limit or runs away monotonically,
+    inconclusive else.  Unlike :func:`_ratio_rule`, it has no ratio test.
     """
     verdict, _ = _limit_probe_detail(x, N, tol)
     return verdict
@@ -787,25 +796,16 @@ def remainder(
 ) -> tuple[GNum, Verdict]:
     """Truncated geometric tail after the n-th term, with a stability verdict.
 
-    Returns exp(sum of logs over n+1 .. N) and a verdict comparing that tail
-    against the one truncated at 2N: finite when they differ by less than
-    tol, diverged when the discrepancy keeps pace with the previous window
-    or the tail leaves the magnitude limit.
+    Returns exp(sum of logs over n+1 .. N) and a verdict on the tails t cut
+    at N/2, N and 2N: :func:`_ratio_rule` reads the moves |t_N - t_N/2| and
+    |t_2N - t_N|, with max(|t_N|, |t_2N|) as the magnitude.  A finite
+    verdict estimates the tail at N.
     """
     n = check_int(n, "n", 0)
     N = check_int(N, "N", n + 2)
     check_tol(tol)
     t_half, t_n, t_2n = window_scan(a, n + 1, window_ends(N, n + 1), ExactSum())
     tail = GNum(t_n)
-    d2 = abs(t_2n - t_n)
-    d1 = abs(t_n - t_half)
-    if max(abs(t_n), abs(t_2n)) > LOG_MAGNITUDE_LIMIT:
-        kind, why = VerdictKind.DIVERGED, "tail beyond the log magnitude limit"
-    elif d2 < tol:
-        kind, why = VerdictKind.FINITE, "tails at N and 2N agree below tol"
-    elif d1 >= tol and d2 >= RATIO_DIVERGED * d1:
-        kind, why = VerdictKind.DIVERGED, "tail discrepancy not shrinking between windows"
-    else:
-        kind, why = VerdictKind.INCONCLUSIVE, "tail still moving at this window"
+    kind, why = _ratio_rule(abs(t_n - t_half), abs(t_2n - t_n), max(abs(t_n), abs(t_2n)), tol)
     estimate = tail if kind is VerdictKind.FINITE else None
     return tail, Verdict(kind, estimate, N, t_n, t_2n, why)

@@ -118,6 +118,15 @@ def test_sparse_numpy_keys_equal_int_keys():
     assert a.log_values(1, 5).tobytes() == b.log_values(1, 5).tobytes()
 
 
+@pytest.mark.parametrize("tol", [True, False], ids=repr)
+def test_tol_is_no_bool(tol):
+    """``True`` is a ``numbers.Real`` equal to 1, so it would pass as tol = 1."""
+    for call in (lambda: classify(X, "linf", 0, 100, tol), lambda: remainder(X, 1, 100, tol)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"tol must be positive, got {tol!r}"
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [("--N", "2", "N must be an integer >= 4, got 2"), ("--m", "-1", "m must be an integer >= 0, got -1"),

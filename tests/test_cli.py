@@ -596,13 +596,15 @@ class TestUsage:
         assert "_type" not in err  # argparse's generic message names the type function
 
 
-#: One command in a fresh interpreter; prints the geomseq modules it loaded.
+#: One command in a fresh interpreter; prints the geomseq modules it loaded,
+#: and numpy.ma if it loaded that.
 MODULES_OF = """
 import contextlib, io, sys
 from geomseq import cli
 with contextlib.redirect_stdout(io.StringIO()):
     cli.main(sys.argv[1:])
 print(*sorted(name.split(".")[1] for name in sys.modules if name.startswith("geomseq.")))
+print("numpy.ma" if "numpy.ma" in sys.modules else "")
 """
 
 COMMANDS = {
@@ -645,6 +647,11 @@ class TestModuleSets:
     def test_no_command_loads_the_catalog(self, loaded):
         assert loaded["dual"] >= {"gdiff", "spaces", "duals"}
         assert all("catalog" not in modules for modules in loaded.values())
+
+    def test_no_command_loads_numpy_ma(self, loaded):
+        # classify --space c0 and demo run the limit probe: np.unique or
+        # np.median there would load numpy.ma
+        assert all("numpy.ma" not in modules for modules in loaded.values())
 
 
 class TestHardExit:

@@ -1,12 +1,14 @@
 """Sequence layer: lazy views, partial geometric sums, tails, and the
 three-window verdict protocol they all share."""
 
+import importlib.util
 import json
 import math
 import subprocess
 import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -350,25 +352,35 @@ class TestVerdictProtocol:
     @pytest.mark.parametrize(
         "mag, range1, range2, kind, note",
         [
-            (2e6, (np.inf, np.inf), (np.inf, np.inf), VerdictKind.DIVERGED,
-             "partial sums beyond the log magnitude limit"),
-            (3.0, (3.0, 3.0), (3.0, 3.0), VerdictKind.FINITE,
-             "partial sums Cauchy-flat over both half-windows"),
-            (1.0, (0.0, 1.0), (0.0, 1.0), VerdictKind.DIVERGED,
-             "partial-sum oscillation persists (1 then 1)"),
-            (1.0, (0.0, 1.0), (0.0, 0.25), VerdictKind.INCONCLUSIVE,
-             "oscillation shrinking but not resolved at this window"),
+            (2e6, (0.0, 1.0), (3.0, 3.0), VerdictKind.FINITE,
+             "stabilized: growth below tol between N and 2N"),
+            (2e6, (0.0, 1.0), (0.0, 1.0), VerdictKind.DIVERGED,
+             "statistic beyond the log magnitude limit"),
+            (1e25, (1e25, 1e25), (1e25, 1e25), VerdictKind.DIVERGED,
+             "statistic beyond the log magnitude limit"),
+            (np.inf, (np.inf, np.inf), (np.inf, np.inf), VerdictKind.DIVERGED,
+             "statistic beyond the log magnitude limit"),
             (2.0, (1.0, 1.0), (1.0, 2.0), VerdictKind.INCONCLUSIVE,
-             "oscillation shrinking but not resolved at this window"),
+             "statistic jumped after having been flat"),
+            (1.0, (0.0, 1.0), (0.0, 0.25), VerdictKind.FINITE,
+             "increments decaying geometrically (ratio 0.250)"),
+            (1.0, (0.0, 1.0), (0.0, 1.0), VerdictKind.DIVERGED,
+             "increments not shrinking (ratio 1.000)"),
+            (1.0, (0.0, 1.0), (0.0, 0.9), VerdictKind.INCONCLUSIVE,
+             "increment ratio 0.900 in the undecided band"),
         ],
-        ids=["magnitude", "flat", "persistent", "shrinking", "flat-then-jump"],
+        ids=["flat", "cap", "rounded-flat", "non-finite", "jumped", "decaying", "steady", "band"],
     )
     def test_series_branches(self, mag, range1, range2, kind, note):
+        """Every branch of the one rule, in its order: flat partial sums are
+        finite even past the magnitude limit, unless float64 cannot resolve
+        tol at their size, and an oscillation of inf - inf (nan) is diverged
+        by the limit."""
         # numpy floats, as signed_series_verdict passes: their inf - inf warns
         range1, range2 = np.array(range1), np.array(range2)
         v = series_verdict(1.0, 1.5, mag, range1, range2, 100, 1e-6)
         assert (v.kind, v.note) == (kind, note)
-        assert (v.estimate is None) is (kind is not VerdictKind.FINITE)
+        assert v.estimate == (GNum(1.5) if kind is VerdictKind.FINITE else None)
 
     def test_signed_needs_doubled_window(self):
         with pytest.raises(ValueError):
@@ -392,6 +404,100 @@ class TestVerdictProtocol:
         assert conjunction(fin, div) is VerdictKind.DIVERGED
         assert conjunction(inc, div) is VerdictKind.DIVERGED
         assert conjunction(fin, inc) is VerdictKind.INCONCLUSIVE
+
+
+@pytest.fixture(scope="module")
+def digest():
+    """``tools/report_digest.py``, for its boundary grid and p-series answers,
+    loaded on first use; the ``sys.path`` entries it adds are dropped again."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "path", list(sys.path)):
+        spec.loader.exec_module(module)
+    return module
+
+
+class TestOneRule:
+    """Verdicts against the p-series answer on the digest's boundary grid:
+    logs s*k^-p and s*(-1)^k*k^-p, p = -3 .. 5 in steps of 0.1, s = 1 or -3.
+    The grid holds whole tenths of p only: a convergent series within about
+    0.074 of its boundary has a band ratio 2^-(p - p0) >= 0.95 and can read
+    diverged."""
+
+    #: The probes not held to the answer.  The limit probe (c, c0) samples
+    #: only even terms at a power-of-two window, and the remainder of
+    #: (-1)^k sums to 0 there, so both can read an alternating p = 0 log as
+    #: convergent.
+    UNHELD = ("c", "c0", "remainder")
+
+    def check_grid_point(self, digest, family, tenths, n):
+        s, alternating = digest.BOUNDARY_FAMILIES[family]
+        x = seq_from_logs(digest.boundary_logs(s, alternating, tenths, n))
+        for probe, m in digest.BOUNDARY_PROBES:
+            if probe in self.UNHELD:
+                continue
+            kind = digest.probe_report(x, probe, m, n)["verdict"]["kind"]
+            if kind != "inconclusive":
+                member = digest.p_series_member(probe, m, tenths, alternating)
+                assert (kind == "finite") is member, (probe, m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_verdicts_agree_with_the_p_series(self, digest, data):
+        family = data.draw(st.sampled_from(sorted(digest.BOUNDARY_FAMILIES)), label="family")
+        tenths = data.draw(st.sampled_from(digest.BOUNDARY_TENTHS), label="tenths")
+        self.check_grid_point(digest, family, tenths, 1 << 12)
+
+    @pytest.mark.parametrize(
+        "family, tenths, n",
+        [
+            ("k^-p", 30, 1 << 12),  # exp(1/k^3): beta's series is sum 1/k^2
+            ("(-1)^k k^-p", 20, 1 << 12),  # exp((0-1)^k/k^2): sum (-1)^k/k
+            ("k^-p", 25, 1 << 15),
+            ("-3(-1)^k k^-p", 15, 1 << 15),
+            ("-3k^-p", -10, 1 << 15),
+            ("(-1)^k k^-p", 0, 1 << 15),
+        ],
+    )
+    def test_verdicts_agree_at_examples(self, digest, family, tenths, n):
+        self.check_grid_point(digest, family, tenths, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.floats(-(2.0**33), 2.0**33, exclude_min=True, exclude_max=True), st.booleans())
+    @example(2e6, True)  # exp(2000000)
+    @example(-3e6, False)
+    @example(8.5e9, True)
+    @example(5e-324, False)
+    def test_constant_logs_read_finite(self, c, exact):
+        """A constant is bounded, convergent and k^-m-bounded at any size
+        where float64 resolves tol (below 2^33): flatness decides before
+        the log magnitude limit."""
+        n = 1 << 12
+        x = seq_constant(GNum(c)) if exact else seq_from_logs(np.full(2 * n + 2, c))
+        for m in range(3):
+            assert classify(x, "linf", m, n).verdict.kind is VerdictKind.FINITE
+            assert classify(x, "c", m, n).verdict.kind is VerdictKind.FINITE
+        for m in (1, 2):
+            assert alpha_alpha_dual_test(x, m, n).verdict.kind is VerdictKind.FINITE
+
+    def test_flat_by_rounding_is_no_evidence(self):
+        """Past 2^33 a statistic can stand still by rounding alone: the sum
+        1e25 + H_N rounds to 1e25 at every window, and so do the logs
+        1e20 + k.  The cap decides them, not flatness."""
+        n = 1 << 12
+        logs = np.arange(1, 2 * n + 3, dtype=np.float64) ** -2.0
+        logs[0] = 1e25
+        x = seq_from_logs(logs)
+        cap = (VerdictKind.DIVERGED, "statistic beyond the log magnitude limit")
+        v = alpha_dual_test(x, 1, n).verdict
+        assert (v.kind, v.note) == cap
+        v = remainder(x, 0, n)[1]
+        assert (v.kind, v.note) == cap
+        assert v.probe_n == v.probe_2n == 1e25  # flat as read
+        x = seq_from_logs(1e20 + np.arange(1, 2 * n + 3, dtype=np.float64))
+        assert classify(x, "linf", 0, n).verdict.kind is VerdictKind.DIVERGED
+        assert classify(x, "c", 0, n).verdict.note == "log magnitude beyond the divergence limit"
 
 
 def _fsum_or_exact(vals):
@@ -686,15 +792,7 @@ def _whole_lemma(x, N, tol):
 
 def _whole_remainder(a, n, N, tol):
     t_half, t_n, t_2n = _stat_at_ends(math.fsum, a.log_values(n + 1, 2 * N - n), N, n)
-    d2, d1 = abs(t_2n - t_n), abs(t_n - t_half)
-    if max(abs(t_n), abs(t_2n)) > 1e6:
-        kind, why = VerdictKind.DIVERGED, "tail beyond the log magnitude limit"
-    elif d2 < tol:
-        kind, why = VerdictKind.FINITE, "tails at N and 2N agree below tol"
-    elif d1 >= tol and d2 >= 0.95 * d1:
-        kind, why = VerdictKind.DIVERGED, "tail discrepancy not shrinking between windows"
-    else:
-        kind, why = VerdictKind.INCONCLUSIVE, "tail still moving at this window"
+    kind, why = gseq._ratio_rule(abs(t_n - t_half), abs(t_2n - t_n), max(abs(t_n), abs(t_2n)), tol)
     tail = GNum(t_n)
     return tail, Verdict(kind, tail if kind is VerdictKind.FINITE else None, N, t_n, t_2n, why)
 

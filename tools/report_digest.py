@@ -135,6 +135,58 @@ WIDE_WINDOW = (1 << 15) + 3
 #: are not summable, with amplitude/sqrt(N) taken from term N+1.
 SPIKE_WINDOW = 1 << 15
 
+#: Window of the boundary records (:func:`boundary_records`).
+BOUNDARY_WINDOW = 1 << 12
+
+#: The boundary grid: p = t/10 for these tenths t, from -3 to 5.
+BOUNDARY_TENTHS = range(-30, 51)
+
+#: The boundary probes, (name, m): a space, a dual kind, or ``remainder``
+#: (the tail after term 0).
+BOUNDARY_PROBES = (
+    *((space, m) for space in ("linf", "c", "c0") for m in range(3)),
+    ("alpha", 1), ("alpha", 2), ("alpha_alpha", 1), ("alpha_alpha", 2),
+    ("beta", 1), ("gamma", 1), ("remainder", 0),
+)
+
+#: The boundary families, name -> (s, alternating): logs s*k^-p, or
+#: s*(-1)^k*k^-p when alternating.
+BOUNDARY_FAMILIES = {
+    "k^-p": (1.0, False),
+    "-3k^-p": (-3.0, False),
+    "(-1)^k k^-p": (1.0, True),
+    "-3(-1)^k k^-p": (-3.0, True),
+}
+
+#: Constant logs past the log magnitude limit 1e6 (family k^-p at p = 0).
+BOUNDARY_CONSTANTS = (2e6, -3e6, 1e300)
+
+#: Expressions seen to get a wrong verdict: (source, probe, m, member).
+BOUNDARY_EXPRESSIONS = (
+    # a limit probe's rise that halves at each doubling reads diverged
+    ("exp(1-1/k)", "c", 0, True),
+    ("exp(1-1/k)", "c0", 1, True),
+    ("exp(k/(k+1))", "c", 0, True),
+    ("exp((5*k-3)/(k+3))", "c", 0, True),
+    ("exp((3*k^2-k+3)/(k+5))", "c", 1, True),
+    # every sample of a power-of-two window is even
+    ("exp(1-(0-1)^k)", "c0", 0, False),
+    ("exp(1-(0-1)^k)", "c", 0, False),
+    ("exp((0-1)^k)", "c", 0, False),
+    ("exp((0-1)^k)", "c0", 1, False),
+    # mixed exponents
+    ("exp(k^4+2^(0-k))", "c", 4, True),
+    ("exp(k^2+ln(k))", "linf", 2, True),
+    ("2*exp(k^2)", "linf", 2, True),
+    # convergent first-order series and a constant past the magnitude limit
+    ("exp(1/k^3)", "beta", 1, True),
+    ("exp((0-1)^k/k^2)", "beta", 1, True),
+    ("exp((0-1)^k/k)", "beta", 1, False),
+    ("exp(2000000)", "linf", 0, True),
+    ("exp(2000000)", "c", 0, True),
+    ("exp(2000000)", "alpha_alpha", 1, True),
+)
+
 #: The digest's expected moves, one ``record-name<TAB>reason`` a line.
 MOVES = Path(__file__).resolve().with_name("digest_moves.txt")
 
@@ -339,6 +391,73 @@ def kernel_records():
             yield report_line(f"wide[{name}|{label}|{n}]", make)
 
 
+def p_series_member(probe: str, m: int, tenths: int, alternating: bool) -> bool:
+    """Whether logs s*k^-p, or s*(-1)^k*k^-p when alternating, with s != 0
+    and p = tenths/10, pass ``probe`` at order m: the p-series test on the
+    weighted logs, on the beta and gamma tests' partial sums of k^(1-p) and
+    tails R_k ~ k^(1-p) (k^-p when alternating), and on ``remainder``'s
+    tail; and Delta^m k^-p ~ k^(-p-m), a constant at p = -m, or (-1)^k
+    times about 2^m k^-p when alternating."""
+    if probe == "alpha":
+        return tenths > 10 * (m + 1)
+    if probe == "alpha_alpha":
+        return tenths + 10 * m >= 0
+    if alternating:
+        return {
+            "linf": tenths >= 0, "c": tenths > 0, "c0": tenths > 0,
+            "beta": tenths > 10, "gamma": tenths > 10, "remainder": tenths > 0,
+        }[probe]
+    return {
+        "linf": tenths + 10 * m >= 0, "c": tenths + 10 * m >= 0, "c0": tenths + 10 * m > 0,
+        "beta": tenths > 20, "gamma": tenths > 20, "remainder": tenths > 10,
+    }[probe]
+
+
+def boundary_logs(s: float, alternating: bool, tenths: int, n: int) -> np.ndarray:
+    """The 2n + 2 logs of a boundary family at p = tenths/10."""
+    ks = np.arange(1, 2 * n + 3, dtype=np.float64)
+    logs = s * ks ** (-tenths / 10)
+    if alternating:
+        logs[::2] *= -1.0  # (-1)^k at k = 1, 3, 5, ...
+    return logs
+
+
+def probe_report(x, probe: str, m: int, n: int):
+    """The report of one boundary probe at window n."""
+    if probe == "remainder":
+        return _pair(gseq.remainder(x, 0, n))
+    if probe in spaces.SPACES:
+        return spaces.classify(x, probe, m, n).to_dict()
+    return duals.dual_test(x, probe, m, n).to_dict()
+
+
+def boundary_records():
+    """The probes of :data:`BOUNDARY_PROBES` at :data:`BOUNDARY_WINDOW` on
+    each family of :data:`BOUNDARY_FAMILIES` over the p grid, on the
+    constant logs of :data:`BOUNDARY_CONSTANTS`, and the queries of
+    :data:`BOUNDARY_EXPRESSIONS`.  Each name ends in the p-series answer."""
+    n = BOUNDARY_WINDOW
+
+    def answer(member):
+        return "member" if member else "not-member"
+
+    cases = [(f"{name}|p={t / 10}", boundary_logs(s, alt, t, n), t, alt)
+             for name, (s, alt) in BOUNDARY_FAMILIES.items() for t in BOUNDARY_TENTHS]
+    cases += [(f"constant {c!r}", np.full(2 * n + 2, c), 0, False) for c in BOUNDARY_CONSTANTS]
+    for label, logs, t, alt in cases:
+        x = gseq.seq_from_logs(logs)
+        for probe, m in BOUNDARY_PROBES:
+            yield report_line(
+                f"boundary[{probe}|{m}|{label}|{answer(p_series_member(probe, m, t, alt))}]",
+                lambda: probe_report(x, probe, m, n),
+            )
+    for src, probe, m, member in BOUNDARY_EXPRESSIONS:
+        yield report_line(
+            f"boundary[{probe}|{m}|{src}|{answer(member)}]",
+            lambda: probe_report(gseq.seq_from_expr(src), probe, m, n),
+        )
+
+
 def process_line(name: str, argv: list, cwd: Path) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
@@ -420,6 +539,8 @@ def main() -> None:
     for line in spike_records():
         print(line, flush=True)
     for line in kernel_records():
+        print(line, flush=True)
+    for line in boundary_records():
         print(line, flush=True)
     for line in process_records():
         print(line, flush=True)
