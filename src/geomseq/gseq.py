@@ -744,48 +744,39 @@ def _probe_ks(lo: int, hi: int) -> np.ndarray:
 
 
 def _limit_probe_detail(
-    x: GSeq, N: int, tol: float
+    x: GSeq, N: int, tol: float, null: bool = False
 ) -> tuple[Verdict, Optional[int]]:
-    """Shared core of the limit probe; also reports a divergence witness."""
+    """The limit probe of :func:`g_limit_probe`, or with ``null`` the probe
+    for the geometric zero, and the sample of largest |log|, the witness.
+
+    The zero probe lies within the limit probe: where that reads diverged,
+    so does it; else it reads the samples' max |log| over [N/2, N] and over
+    [N, 2N] as :func:`_ratio_rule`'s two moves, with their sup as the
+    magnitude, and a finite verdict estimates log 0, the geometric zero."""
     N = check_window(N, tol)
     ks1 = _probe_ks(N // 2, N)
     all_ks = np.concatenate([ks1, _probe_ks(N, 2 * N)])
     all_logs = x.log_points(all_ks)
     logs1, logs2 = all_logs[: len(ks1)], all_logs[len(ks1) :]
-
     i_max = int(np.argmax(np.abs(all_logs)))
-    osc = float(np.max(all_logs)) - float(np.min(all_logs))  # Python floats: inf - inf is nan, unwarned
-    if osc < tol and math.ulp(all_logs[i_max]) < tol:  # flat, and not by rounding alone
-        kind, why = VerdictKind.FINITE, f"log oscillation {osc:.3g} below tol across [N/2, 2N]"
-    elif abs(all_logs[i_max]) > LOG_MAGNITUDE_LIMIT:
-        kind, why = VerdictKind.DIVERGED, "log magnitude beyond the divergence limit"
-    elif (
-        np.all(np.diff(np.abs(all_logs)) >= 0.0)
-        and abs(logs1[-1]) - abs(logs1[0]) > tol
-        and abs(logs2[-1]) - abs(logs2[0]) > tol
-    ):
-        kind = VerdictKind.DIVERGED
-        why = "log magnitude growing monotonically through both half-windows"
-    else:
-        kind = VerdictKind.INCONCLUSIVE
-        why = f"oscillation {osc:.3g} above tol without monotone growth"
-    # the median of the late samples, as np.median takes it (which would load numpy.ma)
-    late, mid = np.sort(logs2).tolist(), len(logs2) // 2
-    median = late[mid] if len(late) % 2 else (late[mid - 1] + late[mid]) / 2
-    estimate = GNum(median) if kind is VerdictKind.FINITE else None
-    verdict = Verdict(kind, estimate, N, float(logs1[-1]), float(logs2[-1]), why)
+    mag = abs(float(all_logs[i_max]))
+    t_n, t_2n = float(logs1[-1]), float(logs2[-1])
+    lo1, hi1, lo2, hi2 = (float(v) for v in (logs1.min(), logs1.max(), logs2.min(), logs2.max()))
+    verdict = series_verdict(t_n, t_2n, mag, (lo1, hi1), (lo2, hi2), N, tol)
+    if null and verdict.kind is not VerdictKind.DIVERGED:  # no limit is no zero limit
+        kind, why = _ratio_rule(max(-lo1, hi1), max(-lo2, hi2), mag, tol)  # the max |log|
+        verdict = Verdict(kind, GNum(0.0) if kind is VerdictKind.FINITE else None, N, t_n, t_2n, why)
     return verdict, int(all_ks[i_max])
 
 
 def g_limit_probe(x: GSeq, N: int = DEFAULT_WINDOW, tol: float = DEFAULT_TOL) -> Verdict:
-    """Probe for a geometric limit by sampling logs over [N/2, 2N].
+    """Probe for a geometric limit from the logs at :data:`PROBE_POINTS`
+    sample points over each of [N/2, N] and [N, 2N].
 
-    Finite (converged) when the sampled logs vary by less than tol, with the
-    median of the late window as the estimate; this is tested first, so a
-    constant past the magnitude limit is finite, as long as float64 resolves
-    tol at its size (as in :func:`_ratio_rule`).  Otherwise diverged when
-    |log| passes the magnitude limit or runs away monotonically,
-    inconclusive else.  Unlike :func:`_ratio_rule`, it has no ratio test.
+    :func:`series_verdict` decides, as for the partial sums of a series: the
+    samples are the terms, their (min, max) over each half-window the two
+    ranges, their sup |log| the magnitude.  A finite verdict estimates the
+    log at 2N.
     """
     verdict, _ = _limit_probe_detail(x, N, tol)
     return verdict

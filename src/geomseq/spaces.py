@@ -7,8 +7,11 @@ Three spaces are implemented, each relative to the m-th difference:
 * ``c0``: it converges to the geometric zero (the number 1).
 
 Membership over an infinite index set is decided only up to the finite
-probing protocol of :mod:`geomseq.gseq`; every report carries the verdict
-with its diagnostics, and a divergence always names a witness index.
+probing protocol of :mod:`geomseq.gseq`, by its one rule: ``linf`` reads
+the sup of |log| through N/2, N and 2N, ``c`` and ``c0`` the limit
+probe's sampled logs, ``c`` their oscillation and ``c0``, where ``c``
+does not read diverged, their max |log| over each half-window.  Every report carries the verdict with its
+diagnostics, and a divergence always names a witness index.
 
 The module also carries the bounded-equivalence check relating a sequence's
 first difference to its k-th-root weighted terms (the two-sided condition
@@ -22,7 +25,7 @@ head-flattening map sometimes written as a separate "s" transform is just
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -101,18 +104,7 @@ def classify(
         sups = window_scan(diff, 1, window_ends(N), top, weight=0.0)
         verdict, witness = monotone_verdict(*sups, N, tol), top.index
     else:
-        verdict, witness = _limit_probe_detail(diff, N, tol)
-        # c0: a geometric limit must additionally be the geometric zero.
-        if (
-            space == "c0"
-            and verdict.kind is VerdictKind.FINITE
-            and abs(verdict.estimate.log_value) > tol
-        ):
-            verdict = replace(
-                verdict,
-                kind=VerdictKind.DIVERGED,
-                note="converges away from the geometric zero",
-            )
+        verdict, witness = _limit_probe_detail(diff, N, tol, null=space == "c0")
     return MembershipReport(
         space, m, verdict,
         witness if verdict.kind is VerdictKind.DIVERGED else None, N,

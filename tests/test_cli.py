@@ -89,10 +89,11 @@ class TestVerdictCommands:
 
     def test_inconclusive_exit_two(self):
         env = run_json(
-            "classify", "--seq", "exp(ln(k))", "--space", "c", "--m", "1",
+            "classify", "--seq", "exp(ln(ln(k+1)))", "--space", "c", "--m", "0",
             "--N", "10000", expect=2,
         )
         assert env["verdict"]["kind"] == "inconclusive"
+        assert env["diagnostics"]["note"] == "increment ratio 0.927 in the undecided band"
 
     def test_norm(self):
         env = run_json("norm", "--seq", "exp(k)", "--m", "1", "--N", "100")

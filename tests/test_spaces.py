@@ -1,16 +1,20 @@
 """Membership classifiers for the bounded / convergent / null difference
 spaces, the weighted sup probe, and the two demonstration constructions."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from geomseq import (
     MembershipReport,
     VerdictKind,
     algebra_counterexample,
     classify,
+    delta_binomial,
     inclusion_demo,
     lemma_equivalence_check,
     seq_from_expr,
+    seq_from_logs,
     weighted_sup,
 )
 
@@ -43,8 +47,37 @@ class TestClassify:
         x = seq_from_expr("exp(k)")
         assert classify(x, "c", 1, N).member
         r = classify(x, "c0", 1, N)
-        assert not r.member
-        assert "away from the geometric zero" in r.verdict.note
+        assert (r.verdict.kind, r.verdict.note) == (
+            VerdictKind.DIVERGED, "increments not shrinking (ratio 1.000)")
+
+    @staticmethod
+    def slow_oscillation(n, freq=1.0, phase=0.0):
+        """Logs sin(freq ln k + phase) through 2n + 2: no limit, and over a
+        doubling the samples move as a convergent sequence's may."""
+        return seq_from_logs(np.sin(freq * np.log(np.arange(1, 2 * n + 3, dtype=np.float64)) + phase))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(8, 6000),
+        freq=st.floats(0.1, 4.0),
+        phase=st.floats(0.0, 6.3),
+    )
+    # max |log| falls 1.000 -> 0.769 over the two half-windows, but the
+    # samples' oscillation grows 0.231 -> 0.586: no limit, so no zero limit
+    @example(n=5152, freq=1.0, phase=0.0)
+    def test_c0_lies_within_c(self, n, freq, phase):
+        x = self.slow_oscillation(n, freq, phase)
+        c, c0 = classify(x, "c", 0, n).verdict, classify(x, "c0", 0, n).verdict
+        if c.kind is VerdictKind.DIVERGED:
+            assert (c0.kind, c0.note) == (c.kind, c.note)
+
+    def test_slow_oscillation_at_a_crest_reads_finite(self):
+        """A known wrong verdict, pinned so that a change to it shows: near
+        a crest, sin(ln k) moves 0.633 over [550, 1100] and 0.328 over
+        [1100, 2200], a ratio of 0.52, as 1 - 1/k's samples move (ratio 0.5)
+        on their way to a limit.  Three windows cannot tell the two apart."""
+        v = classify(self.slow_oscillation(1100), "c", 0, 1100).verdict
+        assert (v.kind, v.note) == (VerdictKind.FINITE, "increments decaying geometrically (ratio 0.519)")
 
     def test_unknown_space_rejected(self):
         with pytest.raises(ValueError):
@@ -190,3 +223,53 @@ class TestChainProperties:
             if premise.kind is VerdictKind.FINITE:
                 _, conclusion = weighted_sup(entry.seq, 0, -float(m), N)
                 assert conclusion.kind is VerdictKind.FINITE, (entry.name, m)
+
+
+def _poly_source(coeffs):
+    """The DSL text of an integer polynomial in k, constant term first (the
+    grammar has no unary minus, so the text starts from 0)."""
+    return "0" + "".join(f"{'-' if c < 0 else '+'}{abs(c)}*k^{i}" for i, c in enumerate(coeffs) if c)
+
+
+COEFFS = st.lists(st.integers(-5, 5), min_size=1, max_size=4)
+
+
+def _no_root_from_one(q):
+    """No zero at an integer k >= 1: every root of q lies within Cauchy's
+    bound 1 + max |q_i / q_top| <= 6."""
+    return any(q) and all(sum(c * k**i for i, c in enumerate(q)) for k in range(1, 7))
+
+
+class TestDegreeRule:
+    """Logs P(k)/Q(k): Delta^m of them is a rational function whose tail
+    is bounded, and convergent, exactly when its numerator's degree is at
+    most its denominator's, and null exactly when it is below (or the
+    numerator is zero).  Every verdict is inconclusive or agrees, and no
+    finite verdict meets a diverged one in a space that holds it."""
+
+    @staticmethod
+    def degree_rule(x, m):
+        tail = delta_binomial(x, m).exact_form.tail
+        excess = len(tail.num) - len(tail.den_poly)  # numerator degree over the denominator's
+        return {"linf": excess <= 0, "c": excess <= 0, "c0": excess < 0 or not tail.num}
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=COEFFS, q=COEFFS.filter(_no_root_from_one))
+    @example(p=[-1, 1], q=[0, 1])  # exp(1-1/k)
+    @example(p=[0, 1], q=[1, 1])  # exp(k/(k+1))
+    @example(p=[-3, 5], q=[3, 1])  # exp((5*k-3)/(k+3))
+    @example(p=[3, -1, 3], q=[5, 1])  # exp((3*k^2-k+3)/(k+5))
+    def test_verdicts_agree_with_the_degree_rule(self, p, q):
+        x = seq_from_expr(f"exp(({_poly_source(p)})/({_poly_source(q)}))")
+        n = 1 << 12
+        kinds = {}
+        for m in range(3):
+            rule = self.degree_rule(x, m)
+            for space in ("linf", "c", "c0"):
+                kind = kinds[space, m] = classify(x, space, m, n).verdict.kind
+                if kind is not VerdictKind.INCONCLUSIVE:
+                    assert (kind is VerdictKind.FINITE) is rule[space], (space, m)
+        kinds["c0", 3] = classify(x, "c0", 3, n).verdict.kind
+        for m in range(3):
+            for inner, outer in ((("c0", m), ("c", m)), (("c", m), ("linf", m)), (("c", m), ("c0", m + 1))):
+                assert (kinds[inner], kinds[outer]) != (VerdictKind.FINITE, VerdictKind.DIVERGED), (inner, outer)

@@ -163,7 +163,7 @@ BOUNDARY_CONSTANTS = (2e6, -3e6, 1e300)
 
 #: Expressions seen to get a wrong verdict: (source, probe, m, member).
 BOUNDARY_EXPRESSIONS = (
-    # a limit probe's rise that halves at each doubling reads diverged
+    # a limit probe's rise that halves at each doubling
     ("exp(1-1/k)", "c", 0, True),
     ("exp(1-1/k)", "c0", 1, True),
     ("exp(k/(k+1))", "c", 0, True),
