@@ -8,7 +8,8 @@ For the order-m difference spaces, a candidate multiplier sequence a sits in
   geometrically bounded, i.e. sup k^-m |ln a_k| < inf;
 * the beta dual (first order only) iff sum k ln a_k converges as a signed
   series and sum_k |R_k| < inf, R_k = sum_{j>k} ln a_j, read from two
-  dyadic blocks of |R_k|, each with R_k cut at the block's own end;
+  dyadic blocks of |R_k|, each with R_k cut at the block's own end and
+  summed in the partial sums' cumsum as its imaginary lane (:class:`_FirstOrderSums`);
 * the gamma dual (first order only) iff the partial sums of k ln a_k stay
   bounded and the same tail condition holds.
 
@@ -29,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .codec import Report, json_key
-from .errors import NoSubsequenceFound, UnsupportedOrder, check_int
+from .errors import GeometricError, NoSubsequenceFound, UnsupportedOrder, check_int
 from .exprdsl import float_index
 from .garith import GNum
 from .gdiff import check_order
@@ -38,7 +39,6 @@ from .gseq import (
     DEFAULT_WINDOW,
     ExactSum,
     GSeq,
-    RunningMax,
     SparseLogSeq,
     Verdict,
     VerdictKind,
@@ -100,77 +100,79 @@ def alpha_alpha_dual_test(
     return DualReport("alpha_alpha", m, verdict, partial)
 
 
-class _PartialSums:
-    """The partial sums S_k of k ln a_k, folded piece by piece: :meth:`read`
-    gives S and sup |S| through the last term added, and ``spans`` holds
-    the range of S over [N/2, N] and over [N, 2N].  Each piece's cumsum
-    starts from the carried S, so S is summed term after term as one cumsum
-    over [1, 2N] sums it.  Once S leaves float64 it holds that +-inf (or
-    nan) rather than forming inf - inf."""
+class _FirstOrderSums:
+    """The partial sums S_k of k ln a_k and the tails R_k in one cumsum per
+    piece over [1, 2N]: its real lane holds k ln a_k, its imaginary lane the
+    logs of terms 2N, 2N - 1, ..., N/2 + 1, read by ``a._piece``; numpy adds
+    the lanes as two float64 chains.  So S and R_k (the sum of the logs of
+    terms k+1 .. e, from each block's end e = 2N, then N, down) come out bit
+    for bit as a cumsum over [1, 2N] and a reversed cumsum of each block.
+    A tail piece that fails to read ends the tails; :meth:`tails` raises its
+    error if the forward scan, whose first failing piece comes first, ends
+    clean.  :meth:`read` gives S, sup |S| and the range of S since the last
+    end, that end's S included.  Once S leaves float64 it holds that +-inf
+    (or nan) rather than forming inf - inf."""
 
-    def __init__(self, N: int):
-        self.carry = -0.0  # -0.0 + x is x: the first partial is the first term
-        self.top = RunningMax()
-        self.spans = {(N // 2, N): [math.inf, -math.inf], (N, 2 * N): [math.inf, -math.inf]}
+    def __init__(self, a: GSeq, N: int):
+        self.a, self.N = a, N
+        self.s = self.r = -0.0  # -0.0 + x is x: a chain's first sum is its first term
+        self.top, self.span = -math.inf, (math.inf, -math.inf)
+        self.blocks = {N: ExactSum(), 2 * N: ExactSum()}
+        self.error: Optional[GeometricError] = None
 
     def add(self, k: int, logs: np.ndarray) -> None:
-        if math.isfinite(self.carry):
-            s = float_index(k, len(logs))
-            with np.errstate(over="ignore", invalid="ignore"):
-                s *= logs
-                s[0] = self.carry + s[0]
-                np.cumsum(s, out=s)
-            if not math.isfinite(s[-1]):  # the series passed float64, never to return
-                i = int(np.argmax(~np.isfinite(s)))
-                s[i:] = s[i]
-        else:
-            s = np.full(len(logs), self.carry)
-        self.carry = float(s[-1])
-        self.top.add(k, np.abs(s))
-        for (lo, hi), span in self.spans.items():
-            part = s[max(lo - k, 0) : max(hi - k + 1, 0)]
-            if len(part):
-                span[0] = np.minimum(span[0], part.min())
-                span[1] = np.maximum(span[1], part.max())
+        N, n = self.N, len(logs)
+        if k - 1 in (N // 2, N):
+            self.span = (self.s, self.s)
+        paired = 0 if self.error else min(n, max(2 * N - N // 2 - k + 1, 0))  # to term N/2 + 1
+        if paired:
+            try:
+                tail = self.a._piece(2 * N + 2 - k - paired, paired)
+            except GeometricError as err:
+                self.error, paired = err, 0
+        z = np.zeros(n, dtype=complex) if paired else np.empty(n)
+        s = z.real
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(float_index(k, n), logs, out=s)
+            s[0] = self.s + s[0] if math.isfinite(self.s) else self.s
+            if paired:
+                z.imag[:paired] = tail[::-1]
+                z.imag[0] = (-0.0 if k == N + 1 else self.r) + z.imag[0]
+            np.cumsum(z, out=z)
+        if not math.isfinite(s[-1]):  # the series passed float64, never to return
+            i = int(np.argmax(~np.isfinite(s)))
+            s[i:] = s[i]
+        self.s = float(s[-1])
+        lo, hi = s.min(), s.max()
+        self.top = float(np.maximum(self.top, np.maximum(hi, -lo) + 0.0))  # -0.0 sups read 0.0
+        self.span = (np.minimum(self.span[0], lo), np.maximum(self.span[1], hi))
+        if paired:
+            self.r = float(z.imag[paired - 1])
+            self.blocks[2 * N if k <= N else N].add(k, np.abs(z.imag[:paired]))
 
-    def read(self) -> tuple[float, float]:
-        return self.carry, self.top.read()
+    def read(self) -> tuple:
+        return self.s, self.top, self.span
 
-
-def _tail_blocks(a: GSeq, N: int) -> tuple[float, float]:
-    """A(N) and A(2N) in one backward scan of terms N/2+1 .. 2N: A(e) sums
-    |R_k| over e/2 <= k < e, R_k being the sum of the logs of terms k+1 .. e.
-    For R_k ~ c k^-alpha, A(2N) / A(N) = 2^(1-alpha), as for the uncut R_k.
-
-    R_k is summed from term e down, as the reversed cumsum of the block's
-    logs sums it, by one running float; each block has its own exact sum.
-    """
-    blocks = {N: ExactSum(), 2 * N: ExactSum()}
-    for k, logs in a.log_chunks(N // 2 + 1, 2 * N, (N,), reverse=True):
-        if k + len(logs) - 1 in blocks:
-            carry = -0.0  # -0.0 + x is x: R_{e-1} is term e
-        r = logs[::-1].copy()
-        with np.errstate(over="ignore"):
-            r[0] = carry + r[0]
-            np.cumsum(r, out=r)
-        carry = float(r[-1])
-        blocks[N if k <= N else 2 * N].add(k, np.abs(r, out=r))
-    return blocks[N].read(), blocks[2 * N].read()
+    def tails(self) -> tuple[float, float]:
+        """A(N) and A(2N): A(e) sums |R_k| over e/2 <= k < e.  For
+        R_k ~ c k^-alpha, A(2N) / A(N) = 2^(1-alpha), as for the uncut R_k."""
+        if self.error:
+            raise self.error
+        return self.blocks[self.N].read(), self.blocks[2 * self.N].read()
 
 
 def _first_order_test(kind: str, a: GSeq, N: int, tol: float) -> DualReport:
     """A condition on the partial sums S of k ln a_k, joined with the tail
-    condition read as 0, A(N), A(N) + A(2N) (:func:`_tail_blocks`; m = 1):
-    for beta S converges (is Cauchy-flat), for gamma sup |S| stabilizes."""
+    condition read as 0, A(N), A(N) + A(2N) (:meth:`_FirstOrderSums.tails`;
+    m = 1): for beta S converges (is Cauchy-flat), for gamma sup |S| stabilizes."""
     N = check_window(N, tol)
-    ends, partials = window_ends(N), _PartialSums(N)
-    (_, top_half), (s_n, top_n), (s_2n, top_2n) = window_scan(a, 1, ends, partials)
+    sums = _FirstOrderSums(a, N)
+    (_, top_half, _), (s_n, top_n, r1), (s_2n, top_2n, r2) = window_scan(a, 1, window_ends(N), sums)
     if kind == "beta":
-        label = "series"
-        cond = series_verdict(s_n, s_2n, top_2n, *partials.spans.values(), N, tol)
+        label, cond = "series", series_verdict(s_n, s_2n, top_2n, r1, r2, N, tol)
     else:
         label, cond = "partial sups", monotone_verdict(top_half, top_n, top_2n, N, tol)
-    a_n, a_2n = _tail_blocks(a, N)
+    a_n, a_2n = sums.tails()
     cond_tails = monotone_verdict(0.0, a_n, a_n + a_2n, N, tol)
     joint = conjunction(cond, cond_tails)
     overall = Verdict(

@@ -45,10 +45,9 @@ error-free extraction (Rump, Ogita and Oishi, 2008; see ``_SUM_UNIT``);
 :class:`RunningMax` keeps the sup and its first term, the witness; a float
 running sum starts each piece's cumsum from the carried total, so it adds
 term after term exactly as one cumsum over the whole window would.  The beta
-and gamma tails walk the pieces backward from 2N and sum |R_k| exactly over
-two dyadic blocks e/2 <= k < e, e = N and 2N, R_k being the sum of the logs
-of terms k+1 .. e: one float carried down from each e gives R_k bit for bit
-as the reversed cumsum of the block's logs.
+and gamma fold carries a second such sum in the same cumsum, as the
+imaginary lane of a complex piece: the logs from 2N down, which give the
+tails R_k of two dyadic blocks (:mod:`geomseq.duals`).
 """
 
 from __future__ import annotations
@@ -532,32 +531,31 @@ class GSeq:
             return self._windows(np.array([start], dtype=np.int64), count)[0]
 
     def log_chunks(
-        self, first: int, last: int, stops: Iterable[int] = (), reverse: bool = False
+        self, first: int, last: int, stops: Iterable[int] = ()
     ) -> Iterator[tuple[int, np.ndarray]]:
         """The window scan: the logs of terms first..last as ``(k, logs)``
-        pieces, ``logs[0]`` being term k, each read by :meth:`_piece`.
+        pieces in ascending order, ``logs[0]`` being term k, each read by
+        :meth:`_piece`.
 
         A piece holds at most :data:`SUM_CHUNK` terms and ends at every stop
-        in the range, so a fold over the pieces can be read there.  Pieces
-        come in ascending order, or with ``reverse`` the same pieces from
-        ``last`` down.  A piece may be a read-only view: a fold must not
-        write into it.  The whole range is bounds-checked before any term is
-        read; a piece that fails to read raises its own
-        :class:`~geomseq.errors.GeometricError`, so the scan stops there.
+        in the range, so a fold over the pieces can be read there.  A piece
+        may be a read-only view: a fold must not write into it.  The whole
+        range is bounds-checked before any term is read; a piece that fails
+        to read raises its own :class:`~geomseq.errors.GeometricError`, so
+        the scan stops there.
         """
         first = self._bounded(first)
         if last < first:
             return
         self._bounded(last)
         edges = sorted({first, last + 1} | {s + 1 for s in stops if first <= s < last})
-        segments = list(zip(edges, edges[1:]))
-        for a, b in reversed(segments) if reverse else segments:
-            starts = range(a, b, SUM_CHUNK)
-            for lo in reversed(starts) if reverse else starts:
+        for a, b in zip(edges, edges[1:]):
+            for lo in range(a, b, SUM_CHUNK):
                 yield lo, self._piece(lo, min(SUM_CHUNK, b - lo))
 
     def _piece(self, lo: int, n: int) -> np.ndarray:
-        """The logs of terms lo .. lo+n-1 for :meth:`log_chunks`."""
+        """The logs of terms lo .. lo+n-1 for :meth:`log_chunks` and for the
+        beta and gamma tails (:mod:`geomseq.duals`)."""
         return self.log_values(lo, n)
 
     def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:

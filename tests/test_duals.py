@@ -3,14 +3,17 @@ and the sparse counterexample construction."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geomseq import (
+    DomainError,
     DualReport,
     GeometricError,
+    IndexOutOfRange,
     NoSubsequenceFound,
     UnsupportedOrder,
     VerdictKind,
@@ -25,8 +28,8 @@ from geomseq import (
     seq_from_expr,
     seq_from_logs,
 )
-from geomseq.duals import _tail_blocks
-from geomseq.gseq import SparseLogSeq
+from geomseq.duals import _FirstOrderSums
+from geomseq.gseq import BufferSeq, SparseLogSeq, window_ends, window_scan
 
 N = 10_000
 
@@ -219,7 +222,10 @@ class TestTailBlocks:
         exactly and rounded once."""
         n, logs = case
         u = Fraction(1, 2**53)
-        for e, got in zip((n, 2 * n), _tail_blocks(seq_from_logs(np.array(logs)), n)):
+        x = seq_from_logs(np.array(logs))
+        sums = _FirstOrderSums(x, n)
+        window_scan(x, 1, window_ends(n), sums)
+        for e, got in zip((n, 2 * n), sums.tails()):
             r = mass = exact = bound = Fraction(0)
             for count, log in enumerate(reversed(logs[e // 2 : e]), 1):  # R_(e - count)
                 r += Fraction(log)
@@ -227,6 +233,30 @@ class TestTailBlocks:
                 exact += abs(r)
                 bound += count * u / (1 - count * u) * mass
             assert abs(Fraction(got) - exact) <= bound + u * exact
+
+
+class TestFirstOrderErrors:
+    """Beta and gamma read the tails with the partial sums, from 2N down,
+    yet report the error the ascending scan meets first."""
+
+    @pytest.mark.parametrize("test", [beta_dual_test, gamma_dual_test])
+    def test_the_first_pole_in_ascending_order_is_reported(self, test):
+        # the tails meet k = 150000 first, 50000 terms down from 2N
+        x = seq_from_expr("exp(1/((k-150000)*(k-120000)))")
+        with pytest.raises(DomainError, match=r"division by zero at k=120000$"):
+            test(x, 100_000)
+
+    @pytest.mark.parametrize("test", [beta_dual_test, gamma_dual_test])
+    def test_a_short_buffer_is_refused_before_any_term_is_read(self, test):
+        x = seq_from_logs(np.ones(2 * N - 1))
+        unread = mock.Mock(side_effect=AssertionError("a term was read"))
+        with (
+            mock.patch.object(BufferSeq, "_piece", unread),
+            mock.patch.object(BufferSeq, "_windows", unread),
+            pytest.raises(IndexOutOfRange),
+        ):
+            test(x, N)
+        assert not unread.called
 
 
 class TestDispatcher:

@@ -4,6 +4,7 @@ three-window verdict protocol they all share."""
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -20,6 +21,7 @@ from geomseq import (
     DualReport,
     GNum,
     GZERO,
+    GeometricError,
     IndexOutOfRange,
     LemmaEquivalenceReport,
     MembershipReport,
@@ -63,6 +65,7 @@ from geomseq.gseq import (
     signed_series_verdict,
 )
 from exact_sums import exact_prefix_sums
+from grammar import EXPRESSIONS
 
 
 def rel_close(a, b, tol):
@@ -858,6 +861,31 @@ def _held_case():
     return N, logs
 
 
+@st.composite
+def first_order_cases(draw):
+    """A window N, small (odd or even) or one term off SUM_CHUNK, and a
+    sequence: an expression of the grammar, or a buffer of 2N + 4 logs (a
+    power, alternating or all -0.0 base) with runs of +-1e308 across the
+    block end N, where the partial sums of k ln a_k pass float64 while
+    alternating runs keep the tails finite."""
+    N = draw(st.one_of(st.integers(4, 64), st.sampled_from([SUM_CHUNK - 1, SUM_CHUNK + 1])))
+    if draw(st.booleans()):
+        return N, seq_from_expr(draw(EXPRESSIONS))
+    ks = np.arange(1, 2 * N + 5, dtype=np.float64)
+    base = draw(st.sampled_from(["power", "alternating", "-0.0"]))
+    if base == "power":
+        logs = draw(st.sampled_from([1.0, -1.0])) * ks ** -draw(st.sampled_from([0.5, 1.0, 2.5]))
+    elif base == "alternating":
+        logs = (-1.0) ** ks / ks
+    else:
+        logs = np.full(len(ks), -0.0)
+    for _ in range(draw(st.integers(0, 2))):
+        start = N + draw(st.integers(-3, 1))
+        run = 1e308 * draw(st.sampled_from([1.0, -1.0])) ** np.arange(draw(st.integers(1, 6)))
+        logs[start - 1 : start - 1 + len(run)] = draw(st.sampled_from([1.0, -1.0])) * run
+    return N, seq_from_logs(logs)
+
+
 def _streamed_and_whole(x, N, m, n):
     tol = 1e-6
     return [
@@ -884,6 +912,25 @@ class TestWindowScan:
             assert _json(streamed) == _json(whole)
         assert gsum_partial(x, 2 * N).log_value.hex() == _fsum_or_exact(logs[: 2 * N]).hex()
         assert sup_gabs(x, N).log_value == np.max(np.abs(logs[:N]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(first_order_cases(), st.sampled_from([beta_dual_test, gamma_dual_test]))
+    @example((5, seq_from_logs(np.full(10, -0.0))), beta_dual_test)
+    @example((5, seq_from_logs(np.full(10, -0.0))), gamma_dual_test)
+    @example((SUM_CHUNK + 1, seq_from_expr("exp(1/((k-30000)*(k-20000)))")), gamma_dual_test)
+    def test_first_order_reports_equal_whole_array_reads(self, case, test):
+        """Beta and gamma fold the partial sums and the tails in one scan:
+        their reports, or the error of the first term that fails to read,
+        are those of one read of the whole window."""
+        N, x = case
+        kind = test.__name__.split("_")[0]
+        try:
+            whole = _whole_first_order(kind, x, N, 1e-6)
+        except GeometricError as err:
+            with pytest.raises(type(err), match=f"^{re.escape(str(err))}$"):
+                test(x, N, 1e-6)
+            return
+        assert _json(test(x, N, 1e-6)) == _json(whole)
 
     def test_an_infinite_weight_on_a_zero_log_adds_nothing(self):
         # k^60 passes float64 from k = 137 000 on: there the zero logs read
@@ -939,9 +986,7 @@ class TestWindowScan:
         assert all(k == e + 1 for (k, _), e in zip(pieces[1:], ends))
         assert all(0 < n <= SUM_CHUNK for _, n in pieces)
         assert set(stops) <= set(ends)
-        backward = list(x.log_chunks(3, 3 * SUM_CHUNK + 2, stops, reverse=True))
-        assert [(k, len(logs)) for k, logs in backward] == pieces[::-1]
-        for k, logs in backward:
+        for k, logs in x.log_chunks(3, 3 * SUM_CHUNK + 2, stops):
             assert np.array_equal(logs, np.arange(k, k + len(logs), dtype=np.float64))
 
     def test_scans_never_write_into_a_buffer(self):
