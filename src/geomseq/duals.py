@@ -103,8 +103,9 @@ def alpha_alpha_dual_test(
 class _FirstOrderSums:
     """The partial sums S_k of k ln a_k and the tails R_k in one cumsum per
     piece over [1, 2N]: its real lane holds k ln a_k, its imaginary lane the
-    logs of terms 2N, 2N - 1, ..., N/2 + 1, read by ``a._piece``; numpy adds
-    the lanes as two float64 chains.  So S and R_k (the sum of the logs of
+    logs of terms 2N, 2N - 1, ..., N/2 + 1, read by ``a._piece`` as windows
+    (ascending ``range``s of terms) and reversed; numpy adds the lanes as
+    two float64 chains.  So S and R_k (the sum of the logs of
     terms k+1 .. e, from each block's end e = 2N, then N, down) come out bit
     for bit as a cumsum over [1, 2N] and a reversed cumsum of each block.
     A tail piece that fails to read ends the tails; :meth:`tails` raises its

@@ -35,8 +35,9 @@ One float evaluator and one lowering share the AST:
   Each read runs the interpreter once without its per-node checks, under
   trapping divide, overflow and invalid float flags, and checks only that
   the result is finite.  Only when a flag fires or the result is not finite
-  does it replay the interpreter with every check, which raises the error
-  or returns the values;
+  does it replay the interpreter with every check, which raises the fault
+  of the first failing term in the order of the indices (at that term its
+  innermost fault) or returns the values;
 * :func:`lower_log` turns the log of the term into one exact rational
   function of k where the structure allows (rational exponents under exp,
   integer powers, products), for difference operators to cancel exactly.
@@ -429,32 +430,30 @@ def _evaluate(node: ExprAst, ks, log: bool) -> np.ndarray:
 def _checked(node: ExprAst, x: np.ndarray, ks: np.ndarray, log: bool) -> np.ndarray:
     """:func:`_evaluate`'s replay, and the reference its first pass is held
     to: the interpreter with every check, at the float index ``x`` of the
-    int64 indices ``ks``."""
+    int64 indices ``ks``.  It raises the fault of the first failing term in
+    the order of ``ks``, and at that term its innermost fault, the one a
+    read of that term alone raises: a node records where it faults after
+    its children do."""
     target, log = _target(node, log)
+    faults: list = []
     with np.errstate(all="ignore"):
-        vals = _value_array(target, x, ks)
-    if not np.all(np.isfinite(vals)):
-        bad = _first(ks, ~np.isfinite(vals))
-        raise DomainError(f"overflow evaluating {to_source(target)!r} at k={bad}")
-    if not log:
-        return vals
-    if np.any(vals <= 0.0):
-        bad = _first(ks, vals <= 0.0)
-        raise NonPositiveValue(f"sequence value must be strictly positive and finite at k={bad}")
-    return np.log(vals)
-
-
-def _first(ks: np.ndarray, mask: np.ndarray) -> int:
-    """The index at the first True of ``mask``, for an error message."""
-    return int(ks[np.nonzero(mask)[0][0]])
+        vals = _value_array(target, x, faults)
+        faults.append((~np.isfinite(vals), DomainError, f"overflow evaluating {to_source(target)!r}"))
+        if log:
+            positive = "sequence value must be strictly positive and finite"
+            faults.append((vals <= 0.0, NonPositiveValue, positive))
+    masks = [np.broadcast_to(mask, x.shape).ravel() for mask, _, _ in faults]
+    for i in np.flatnonzero(np.any(masks, axis=0))[:1]:  # the first failing term
+        error, what = next(fault[1:] for fault, mask in zip(faults, masks) if mask[i])
+        raise error(f"{what} at k={int(ks.ravel()[i])}")
+    return np.log(vals) if log else vals
 
 
 def _value_array(
-    node: ExprAst, x: np.ndarray, ks: np.ndarray | None = None, scalar: bool = False
+    node: ExprAst, x: np.ndarray, faults: list | None = None, scalar: bool = False
 ) -> np.ndarray:
-    """The values of ``node`` at the float index ``x``; given the int index
-    ``ks`` (the replay), each node also checks its own faults and names the
-    first index that has one."""
+    """The values of ``node`` at the float index ``x``; given ``faults``
+    (the replay), each check appends its ``(mask, error, message)``."""
     kind = node.kind
     if kind in ("const", "e"):  # a float64 scalar, if asked, reads as its full array in + - * /
         value = np.float64(math.e if kind == "e" else node.value)
@@ -462,29 +461,29 @@ def _value_array(
     if kind == "k":
         return x
     if kind == "pow":  # full arrays: numpy's scalar-exponent powers differ in the last bit
-        return _power(node, *(_value_array(child, x, ks) for child in node.children), ks)
+        return _power(node, *(_value_array(child, x, faults) for child in node.children), faults)
     if kind in _ARITH:
-        a, b = (_value_array(child, x, ks, scalar=True) for child in node.children)
-        if ks is not None and kind == "div" and np.any(b == 0.0) and x.size:
-            raise DomainError(f"division by zero at k={_first(ks, np.broadcast_to(b == 0.0, x.shape))}")
+        a, b = (_value_array(child, x, faults, scalar=True) for child in node.children)
+        if faults is not None and kind == "div":
+            faults.append((b == 0.0, DomainError, "division by zero"))
         out = _ARITH[kind](a, b)
         return out if isinstance(out, np.ndarray) else np.full(x.shape, out)
     if kind == "exp":
-        out = np.exp(_value_array(node.children[0], x, ks))
-        if ks is not None and not np.all(np.isfinite(out)):
-            raise DomainError(f"inner exp overflow at k={_first(ks, ~np.isfinite(out))}")
+        out = np.exp(_value_array(node.children[0], x, faults))
+        if faults is not None:
+            faults.append((~np.isfinite(out), DomainError, "inner exp overflow"))
         return out
     if kind == "ln":
-        a = _value_array(node.children[0], x, ks)
-        if ks is not None and np.any(a <= 0.0):
-            raise DomainError(f"ln of non-positive value at k={_first(ks, a <= 0.0)}")
+        a = _value_array(node.children[0], x, faults)
+        if faults is not None:
+            faults.append((a <= 0.0, DomainError, "ln of non-positive value"))
         return np.log(a)
     raise DomainError(f"unknown node kind {kind!r}")
 
 
-def _power(node: ExprAst, a: np.ndarray, b: np.ndarray, ks: np.ndarray | None) -> np.ndarray:
-    """``a ^ b`` term by term by ``np.power``, raising (given ``ks``) where
-    Python's ``**`` does and filling +0.0, as ``**`` reads it, where p·log2 b
+def _power(node: ExprAst, a: np.ndarray, b: np.ndarray, faults: list | None) -> np.ndarray:
+    """``a ^ b`` term by term by ``np.power``, faulting (given ``faults``)
+    where Python's ``**`` raises and filling +0.0, as ``**`` reads it, where p·log2 b
     < :data:`_UNDERFLOW_LOG2` (underflowing ``np.power`` takes libm's slow
     path).  p·log2 b is bilinear, so its corners over the ranges of a and b
     (the least base alone for p >= 0) rule most pieces out first.
@@ -515,13 +514,11 @@ def _power(node: ExprAst, a: np.ndarray, b: np.ndarray, ks: np.ndarray | None) -
     with np.errstate(all="ignore"):  # the fill mask is no value: a base <= 0 is no fault here
         fill = (a > 0.0) & (b * np.log2(a) < _UNDERFLOW_LOG2)
     out = np.power(a, b, out=np.zeros(a.shape), where=~fill)
-    if ks is not None and not lo > 0.0:  # a zero or negative base (or NaN) may fault
+    if faults is not None and not lo > 0.0:  # a zero or negative base (or NaN) may fault
         zero = (a == 0.0) & (b < 0.0) & np.isfinite(b)  # 0.0 ** -inf is inf
-        bad = zero | (np.isnan(out) & ~np.isnan(a) & ~np.isnan(b))
-        if bad.any():
-            i = int(np.argmax(bad))
-            what = "division by zero" if zero[i] else f"invalid power in {to_source(node)!r}"
-            raise DomainError(f"{what} at k={int(ks[i])}")
+        faults.append((zero, DomainError, "division by zero"))
+        invalid = np.isnan(out) & ~np.isnan(a) & ~np.isnan(b)
+        faults.append((invalid, DomainError, f"invalid power in {to_source(node)!r}"))
     return out
 
 

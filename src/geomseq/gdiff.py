@@ -7,11 +7,12 @@ log of the m-th difference at k is the alternating binomial combination
 
 which is the classical m-fold forward difference of the logs up to the sign
 (-1)^m.  The binomial view is the one implementation; it reads its child
-once per window, over the count + m terms the window needs.  The recursive
-chain is m order-1 binomial views: at m = 1 it is the same operator, and for
-m >= 2 its nested first differences round differently from the one-shot
-expansion, so it checks that expansion.  The test suite holds both against
-the classical m-fold forward difference of the logs.
+once per read, over the count + m terms a window needs or the m + 1 terms
+of each point.  The recursive chain is m order-1 binomial views: at m = 1
+it is the same operator, and for m >= 2 its nested first differences round
+differently from the one-shot expansion, so it checks that expansion.  The
+test suite holds both against the classical m-fold forward difference of
+the logs.
 
 Polynomial exponents are the canonical stress case: the m-th difference of
 e^(k^m) is the constant e^((-1)^m * m!) and the (m+1)-st collapses to the
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import UnsupportedOrder, check_int
 from .garith import GNum
-from .gseq import ExactSum, GSeq, sup_gabs
+from .gseq import ExactSum, GSeq, _check_index, _index_array, sup_gabs
 
 __all__ = [
     "MAX_ORDER",
@@ -76,17 +77,24 @@ class _DeltaBinomialView(GSeq):
         n = self.child.length
         return None if n is None else max(0, n - self.m)
 
-    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
+    def _read(self, ks: range | np.ndarray) -> np.ndarray:
         if self.exact_form is not None:
-            return self.exact_form.values(self._grid(starts, count))
-        block = self.child._windows(starts, count + self.m)
-        out = np.zeros((len(starts), count))
+            return self.exact_form.values(_index_array(ks))
+        n, m = len(ks), self.m  # terms[v][i] is term ks[i] + v, checked before k + m wraps
+        if isinstance(ks, range):  # the window's count + m terms in one read
+            _check_index(ks.stop - 1 + m)
+            block = self.child._read(range(ks.start, ks.stop + m))
+            terms = [block[v : v + n] for v in range(m + 1)]
+        else:  # each point's m + 1 terms, point by point: a failing read names the same term
+            _check_index(int(ks.max(initial=1)) + m)
+            terms = self.child._read((ks[:, None] + np.arange(m + 1)).ravel()).reshape(n, m + 1).T
+        out = np.zeros(n)
         with np.errstate(invalid="ignore"):  # inf - inf is redone below
-            for v, c in enumerate(self.coeffs):
-                out += c * block[:, v : v + count]
+            for c, t in zip(self.coeffs, terms):
+                out += c * t
         bad = ~np.isfinite(out)  # a partial sum left float64: redo it at 2^-61
         if bad.any():
-            redo = sum(c * np.ldexp(block[:, v : v + count][bad], -61) for v, c in enumerate(self.coeffs))
+            redo = sum(c * np.ldexp(t[bad], -61) for c, t in zip(self.coeffs, terms))
             out[bad] = np.ldexp(redo, 61)
         return out
 
@@ -104,15 +112,11 @@ class _DOperatorView(GSeq):
     def length(self) -> Optional[int]:
         return self.child.length
 
-    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
-        head = starts <= self.m  # a pinned term is 0; the child is not read there
-        if not head.any():
-            return self.child._windows(starts, count)
-        out = np.zeros((len(starts), count))
-        out[~head] = self.child._windows(starts[~head], count)
-        for i, h in zip(np.flatnonzero(head), self.m + 1 - starts[head]):
-            if h < count:
-                out[i, h:] = self.child._windows(np.array([self.m + 1]), count - h)[0]
+    def _read(self, ks: range | np.ndarray) -> np.ndarray:
+        # a pinned term is 0; the child is not read there
+        kept = slice(max(0, self.m + 1 - ks.start), None) if isinstance(ks, range) else ks > self.m
+        out = np.zeros(len(ks))
+        out[kept] = self.child._read(ks[kept])
         return out
 
 

@@ -4,10 +4,11 @@ A :class:`GSeq` is a 1-indexed sequence of geometric numbers backed by a
 closed-form expression, a finite buffer of logs, or a lazy view over other
 sequences.  Nothing is memoized; every access recomputes.
 
-Each view has one float read, ``_windows(starts, count)``, the logs of
-terms ``starts[i] + j`` for ``j < count``.  ``log_values(start, count)`` is
-one window; ``log_points(ks)``, ``log_at(k)`` and ``term(k)`` are windows of
-one term, so a term reads the same bits however it is asked for.
+Each view has one float read, ``_read(ks)``, the logs of the terms ``ks``
+as a 1-d array: ``ks`` is a window, a ``range`` of step 1, or points, an
+int64 array in any order.  ``log_values(start, count)`` reads one window;
+``log_points(ks)``, ``log_at(k)`` and ``term(k)`` read points, so a term
+reads the same bits however it is asked for.
 
 A sequence may carry an :class:`ExactForm` as its ``exact_form`` (else
 None), exact logs decided once from the expression's structure
@@ -249,10 +250,6 @@ def check_tol(tol: float) -> float:
 #: array (:func:`geomseq.exprdsl.float_index`).
 SUM_CHUNK = exprdsl.INDEX_SPAN
 
-#: The int64 offsets of a window read, shared and read-only like exprdsl's floats.
-_OFFSETS = np.arange(len(exprdsl._OFFSETS))
-_OFFSETS.flags.writeable = False
-
 # A finite float64 is m * 2^(e - 53) with m a 53-bit integer and frexp's
 # exponent e >= -1073, so every term is a whole multiple of 2^-1126.
 # _chunk_total sums a chunk exactly, as an int in these units, by error-free
@@ -418,6 +415,11 @@ def window_scan(
 # Sequences
 
 
+def _index_array(ks: range | np.ndarray) -> np.ndarray:
+    """The int64 indices of a read: a window's ``range`` as an array."""
+    return np.arange(ks.start, ks.stop, dtype=np.int64) if isinstance(ks, range) else ks
+
+
 def _check_index(k: int) -> int:
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
         raise IndexOutOfRange(f"sequence indices start at 1, got {k!r}")
@@ -512,7 +514,7 @@ class GSeq:
         if self.exact_form is not None:
             return self.exact_form.values(ks)
         with np.errstate(over="ignore"):  # a log past float64 reads as +-inf
-            return self._windows(ks, 1)[:, 0]
+            return self._read(ks)
 
     def _bounded(self, k: int) -> int:
         k = _check_index(k)
@@ -528,7 +530,7 @@ class GSeq:
         if count:
             self._bounded(start + count - 1)
         with np.errstate(over="ignore"):
-            return self._windows(np.array([start], dtype=np.int64), count)[0]
+            return self._read(range(start, start + count))
 
     def log_chunks(
         self, first: int, last: int, stops: Iterable[int] = ()
@@ -554,21 +556,16 @@ class GSeq:
                 yield lo, self._piece(lo, min(SUM_CHUNK, b - lo))
 
     def _piece(self, lo: int, n: int) -> np.ndarray:
-        """The logs of terms lo .. lo+n-1 for :meth:`log_chunks` and for the
-        beta and gamma tails (:mod:`geomseq.duals`)."""
+        """The logs of terms lo .. lo+n-1, the window ``range(lo, lo + n)``,
+        for :meth:`log_chunks` and for the beta and gamma tails
+        (:mod:`geomseq.duals`)."""
         return self.log_values(lo, n)
 
-    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
-        """The one float read: logs of terms ``starts[i] + j`` for
-        ``j < count``, as a ``(len(starts), count)`` array."""
+    def _read(self, ks: range | np.ndarray) -> np.ndarray:
+        """The one float read: the logs of the terms ``ks`` as a 1-d array.
+        ``ks`` is a window, a ``range`` of step 1, or points, an int64 array
+        in any order; the caller has checked their bounds."""
         raise NotImplementedError
-
-    @staticmethod
-    def _grid(starts: np.ndarray, count: int) -> np.ndarray:
-        """The int64 indices ``starts[i] + j`` of a window read."""
-        if len(starts) and count:  # before starts + count wraps past 2^63-1
-            _check_index(int(starts.max()) + count - 1)
-        return starts[:, None] + (_OFFSETS[:count] if count <= len(_OFFSETS) else np.arange(count))
 
 
 class ExpressionSeq(GSeq):
@@ -587,13 +584,8 @@ class ExpressionSeq(GSeq):
     def __repr__(self) -> str:
         return f"ExpressionSeq({self.source!r})"
 
-    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
-        if len(starts) == 1 and count:  # one window: a range, read with no int64 grid
-            lo = int(starts[0])
-            _check_index(lo + count - 1)
-            return exprdsl.eval_log_array(self.ast, range(lo, lo + count))[None]
-        ks = self._grid(starts, count)
-        return exprdsl.eval_log_array(self.ast, ks.ravel()).reshape(ks.shape)
+    def _read(self, ks: range | np.ndarray) -> np.ndarray:
+        return exprdsl.eval_log_array(self.ast, ks)
 
 
 class BufferSeq(GSeq):
@@ -618,8 +610,8 @@ class BufferSeq(GSeq):
     def _piece(self, lo: int, n: int) -> np.ndarray:
         return self._logs[lo - 1 : lo - 1 + n]
 
-    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
-        return self._logs[self._grid(starts, count) - 1]
+    def _read(self, ks: range | np.ndarray) -> np.ndarray:
+        return self._logs[_index_array(ks) - 1]
 
 
 class ConstantSeq(GSeq):
@@ -633,8 +625,8 @@ class ConstantSeq(GSeq):
     def __repr__(self) -> str:
         return f"ConstantSeq(e^{self._log:g})"
 
-    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
-        return np.full((len(starts), count), self._log)
+    def _read(self, ks: range | np.ndarray) -> np.ndarray:
+        return np.full(len(ks), self._log)
 
 
 class SparseLogSeq(GSeq):
@@ -650,11 +642,11 @@ class SparseLogSeq(GSeq):
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self._entries))
 
-    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
-        out = np.zeros((len(starts), count))
+    def _read(self, ks: range | np.ndarray) -> np.ndarray:
+        ks = _index_array(ks)
+        out = np.zeros(len(ks))
         for k, v in self._entries.items():
-            rows = np.flatnonzero((starts <= k) & (k - starts < count))  # starts + count may wrap
-            out[rows, k - starts[rows]] = v
+            out[ks == k] = v
         return out
 
 
@@ -674,8 +666,8 @@ class _BinaryView(GSeq):
     def length(self) -> Optional[int]:
         return min((n for n in (self.a.length, self.b.length) if n is not None), default=None)
 
-    def _windows(self, starts: np.ndarray, count: int) -> np.ndarray:
-        return self._op(self.a._windows(starts, count), self.b._windows(starts, count))
+    def _read(self, ks: range | np.ndarray) -> np.ndarray:
+        return self._op(self.a._read(ks), self.b._read(ks))
 
 
 def seq_from_expr(src: str | ExprAst) -> ExpressionSeq:

@@ -252,7 +252,7 @@ class TestFirstOrderErrors:
         unread = mock.Mock(side_effect=AssertionError("a term was read"))
         with (
             mock.patch.object(BufferSeq, "_piece", unread),
-            mock.patch.object(BufferSeq, "_windows", unread),
+            mock.patch.object(BufferSeq, "_read", unread),
             pytest.raises(IndexOutOfRange),
         ):
             test(x, N)

@@ -900,6 +900,36 @@ def _streamed_and_whole(x, N, m, n):
     ]
 
 
+#: Expressions whose terms fault at different nodes, and the fault of the
+#: first failing term: from k = 2 the outer exp overflows, from k = 6 an
+#: inner one; ln(ln(exp(0.5^k))) is negative from k = 1, and from k = 53,
+#: where exp(0.5^k) rounds to 1, its outer ln takes ln of 0.
+FIRST_FAULTS = [
+    ("exp(exp(exp(exp(k)+exp(k))))", DomainError, "inner exp overflow at k=2"),
+    ("ln(ln(exp(0.5^k)))", NonPositiveValue, "sequence value must be strictly positive and finite at k=1"),
+]
+
+
+@pytest.mark.parametrize("src, error, message", FIRST_FAULTS)
+def test_a_window_names_its_first_failing_term(src, error, message):
+    """However far a window reaches past its first failing term, it raises
+    that term's fault, not a fault some later term meets at an inner node."""
+    x = seq_from_expr(src)
+    for n in [*range(int(message.rsplit("=", 1)[1]), 130), SUM_CHUNK, 3 * SUM_CHUNK + 5]:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            x.log_values(1, n)
+
+
+def test_points_name_the_first_failing_term_in_their_own_order():
+    """Points fail at the first failing term in the order given, with that
+    term's innermost fault."""
+    x = seq_from_expr(FIRST_FAULTS[1][0])
+    with pytest.raises(DomainError, match=r"^ln of non-positive value at k=60$"):
+        x.log_points([60, 1])
+    with pytest.raises(NonPositiveValue, match=r"at k=1$"):
+        x.log_points([1, 60])
+
+
 class TestWindowScan:
     @settings(max_examples=12, deadline=None)
     @given(scan_cases(), st.sampled_from([1, 2, 3]), st.sampled_from([0, 3, SUM_CHUNK - 1, SUM_CHUNK]))
@@ -918,6 +948,8 @@ class TestWindowScan:
     @example((5, seq_from_logs(np.full(10, -0.0))), beta_dual_test)
     @example((5, seq_from_logs(np.full(10, -0.0))), gamma_dual_test)
     @example((SUM_CHUNK + 1, seq_from_expr("exp(1/((k-30000)*(k-20000)))")), gamma_dual_test)
+    @example((4, seq_from_expr(FIRST_FAULTS[0][0])), beta_dual_test)
+    @example((27, seq_from_expr(FIRST_FAULTS[1][0])), gamma_dual_test)
     def test_first_order_reports_equal_whole_array_reads(self, case, test):
         """Beta and gamma fold the partial sums and the tails in one scan:
         their reports, or the error of the first term that fails to read,
@@ -1034,10 +1066,9 @@ class TestWindowScan:
             assert str(err.value) == f"index {last} beyond the {defined} defined terms", name
 
     def test_a_failing_piece_raises_its_own_error(self):
-        # The first piece divides by zero at k = 5; the scan stops there
-        # rather than reading the window whole, which would meet the inner
-        # exp overflow (from k = 21 294) first.
-        x = seq_from_expr("exp(k/30)/(k-5)")
+        # The first piece divides by zero at k = 5; the scan stops there and
+        # never reads the inner exp overflow from k = 21 294 on.
+        x = seq_from_expr("exp(k/30)/(k-5)^2")
         N = 12_000
         for call in (lambda: alpha_dual_test(x, 1, N), lambda: classify(x, "linf", 0, N),
                      lambda: beta_dual_test(x, N), lambda: gsum_partial(x, 2 * N)):
@@ -1063,7 +1094,7 @@ gs.gamma_dual_test(floats, N)
 gs.classify(floats, "linf", 0, N)
 gs.classify(exact, "linf", 1, N)  # Python-int blocks past k = 9741
 try:  # the first piece fails at k = 5; the scan must not read on
-    gs.alpha_dual_test(gs.seq_from_expr("exp(k/30)/(k-5)"), 1, N)
+    gs.alpha_dual_test(gs.seq_from_expr("exp(k/30)/(k-5)^2"), 1, N)
 except gs.DomainError:
     pass
 print(peak_mb() - floor)

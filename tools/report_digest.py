@@ -128,6 +128,15 @@ EDGE_WINDOWS = {
     "exp(1/k^5)": ((1537, 16), (1538, 16)),
 }
 
+#: Expressions whose terms fault at different nodes, and the windows N of
+#: their fault records: exp(exp(exp(exp(k)+exp(k)))) overflows its outer exp
+#: from k = 2 and an inner one from k = 6; ln(ln(exp(0.5^k))) is negative
+#: from k = 1 and takes ln of 0 from k = 53.  A read names its first failing
+#: term with that term's innermost fault, so the whole window 1..2N and the
+#: beta scan, which stops at its first failing piece, name the same term.
+FAULT_EXPRESSIONS = ("exp(exp(exp(exp(k)+exp(k))))", "ln(ln(exp(0.5^k)))")
+FAULT_WINDOWS = (4, 27)
+
 #: Window of the exact-sum kernel records: its ends close no 2^14-term piece.
 WIDE_WINDOW = (1 << 15) + 3
 
@@ -300,6 +309,16 @@ def fill_records():
             yield report_line(
                 f"log_values[{src}|{start}|{count}]", lambda: x.log_values(start, count).tolist()
             )
+
+
+def fault_records():
+    """The whole-window read of terms 1..2N and the beta test at each of
+    :data:`FAULT_WINDOWS` on each of :data:`FAULT_EXPRESSIONS`."""
+    for src in FAULT_EXPRESSIONS:
+        x = gseq.seq_from_expr(src)
+        for n in FAULT_WINDOWS:
+            yield report_line(f"log_values[{src}|1|{2 * n}]", lambda: x.log_values(1, 2 * n).tolist())
+            yield report_line(f"beta[{src}|{n}]", lambda: duals.beta_dual_test(x, n).to_dict())
 
 
 def scan_records():
@@ -533,6 +552,8 @@ def main() -> None:
     for line in switch_records():
         print(line, flush=True)
     for line in fill_records():
+        print(line, flush=True)
+    for line in fault_records():
         print(line, flush=True)
     for line in scan_records():
         print(line, flush=True)
