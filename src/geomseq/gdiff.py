@@ -20,7 +20,8 @@ geometric zero.  Given an exact form (:class:`~geomseq.gseq.ExactForm`),
 both operators difference it symbolically once, when the view is built, and
 read every window and point from it (exact float64 Horner while every value
 stays within 2^53, Python ints beyond); float64 renderings of k^4 near
-k = 1e4 would leave noise of order 2^m.
+k = 1e4 would leave noise of order 2^m.  A window reaches the form as its
+``range``, so no int64 index array is built for it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import UnsupportedOrder, check_int
 from .garith import GNum
-from .gseq import ExactSum, GSeq, _check_index, _index_array, sup_gabs
+from .gseq import ExactSum, GSeq, _check_index, sup_gabs
 
 __all__ = [
     "MAX_ORDER",
@@ -79,7 +80,7 @@ class _DeltaBinomialView(GSeq):
 
     def _read(self, ks: range | np.ndarray) -> np.ndarray:
         if self.exact_form is not None:
-            return self.exact_form.values(_index_array(ks))
+            return self.exact_form.values(ks)
         n, m = len(ks), self.m  # terms[v][i] is term ks[i] + v, checked before k + m wraps
         if isinstance(ks, range):  # the window's count + m terms in one read
             _check_index(ks.stop - 1 + m)

@@ -451,11 +451,16 @@ class ExactForm:
     def exact(self, k: int) -> Exact:
         return (self.tail if k > len(self.head) else self.head[k - 1]).exact(k)
 
-    def values(self, ks: np.ndarray) -> np.ndarray:
-        """The logs at an int64 index array of any shape, correctly rounded."""
-        if ks.min(initial=len(self.head) + 1) > len(self.head):
+    def values(self, ks: range | np.ndarray) -> np.ndarray:
+        """The logs at the indices ``ks``, correctly rounded: a window, a
+        ``range`` of step 1, or an int64 index array of any shape.  Indices
+        past the listed head go to :meth:`RatFunc.values` as they are; an
+        index array is made only when a window overlaps the head."""
+        h = len(self.head)
+        if (ks.start if isinstance(ks, range) else ks.min(initial=h + 1)) > h:
             return self.tail.values(ks)
-        listed = ks <= len(self.head)
+        ks = _index_array(ks)
+        listed = ks <= h
         out = np.empty(ks.shape)
         out[listed] = [self.head[k - 1].at(k) for k in ks[listed].tolist()]
         out[~listed] = self.tail.values(ks[~listed])

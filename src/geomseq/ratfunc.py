@@ -2,14 +2,18 @@
 integer polynomial factors, never reduced, so poles stay where per-term
 Fraction arithmetic (the test oracle in ``tests/exact_oracle.py``) puts
 them.  Sums take the lcm of the factor lists.  Values are one correctly
-rounded division of Python ints, equal to ``float(Fraction(n, d))``.  Index
-arrays use float64 Horner when sum |a_i| k_max^i <= 2^53 for the numerator
-and the denominator product: every partial is then an integer of at most
-2^53, so it is exact, and the one IEEE division rounds n/d correctly
-((-n)/(-d) = n/d; an exact zero is made +0.0).  Past the bound they use
-Python ints.  A sequence holds its form as
-:attr:`geomseq.gseq.GSeq.exact_form`; :meth:`RatFunc.values` is the one
-array read, over any index array.
+rounded division of Python ints, equal to ``float(Fraction(n, d))``.
+
+:meth:`RatFunc.values` is the one array read.  It takes the indices a
+sequence read takes: a window, a ``range`` of step 1, or an int64 index
+array.  It uses float64 Horner when sum |a_i| k_max^i <= 2^53 for the
+numerator and the denominator product: every partial is then an integer of
+at most 2^53, so it is exact, and the one IEEE division rounds n/d correctly
+((-n)/(-d) = n/d; an exact zero is made +0.0).  A window's float index is
+built directly, exact below 2^53; each polynomial's Horner steps run in one
+buffer and the quotient in the denominator's; a constant form reads no
+index.  Past the bound the same steps run on Python ints.  A sequence holds
+its form as :attr:`geomseq.gseq.GSeq.exact_form`.
 """
 
 from __future__ import annotations
@@ -63,8 +67,19 @@ def _pprod(polys: Iterable[Poly]) -> Poly:
     return reduce(_pmul, polys, (1,))
 
 
-def _horner(p: Poly, k):
-    return reduce(lambda acc, c: acc * k + c, reversed(p[:-1]), p[-1] if p else 0)
+def _horner(p: Poly, x):
+    """p(x) for a Python int or an index array (float64 or Python-int
+    objects), the array steps in one buffer; a zero coefficient adds nothing."""
+    if len(p) <= 1:
+        return p[0] if p else 0
+    acc = x * p[-1]
+    for c in p[-2:0:-1]:
+        if c:
+            acc += c
+        acc *= x
+    if p[0]:
+        acc += p[0]
+    return acc
 
 
 class RatFunc:
@@ -150,25 +165,37 @@ class RatFunc:
         except OverflowError:
             raise DomainError(f"exact log beyond float64 at k={k}")
 
-    def values(self, ks: np.ndarray) -> np.ndarray:
-        """:meth:`at` over an int64 index array of any shape."""
-        if not ks.size:
-            return np.empty(ks.shape)
-        k_max = int(ks.max(initial=1))  # indices start at 1
+    def values(self, ks: range | np.ndarray) -> np.ndarray:
+        """:meth:`at` over the indices a sequence read takes: a window, a
+        ``range`` of step 1, read into a 1-d array, or an int64 index array
+        of any shape, read in its shape.  The first failing term in ``ks``'s
+        order raises as :meth:`at` does there."""
+        window = isinstance(ks, range)
+        flat = ks if window else ks.reshape(-1)
+        shape = (len(ks),) if window else ks.shape
+        if not len(flat):
+            return np.empty(shape)
+        if self.degree == 0:  # a constant form reads no index
+            return np.full(shape, self.at(int(flat[0])))
+        k_max = flat[-1] if window else int(flat.max())  # indices start at 1
         small = all(
             sum(abs(c) * k_max**i for i, c in enumerate(p)) <= 1 << 53
             for p in (self.num, self.den_poly)
         )
-        # A polynomial of length <= 1 is a scalar: a constant form reads no index.
-        x = ks.astype(np.float64 if small else object) if self.degree > 0 else ks
+        dtype = np.float64 if small else object  # the float index is exact below 2^53
+        x = np.arange(ks.start, ks.stop, dtype=dtype) if window else flat.astype(dtype)
         n, d = (_horner(p, x) for p in (self.num, self.den_poly))
         if not np.all(d):
-            first = np.argmin(np.broadcast_to(d, ks.shape) != 0)
-            raise DomainError(f"division by zero at k={int(ks.flat[first])}")
+            first = np.argmin(np.broadcast_to(d, x.shape) != 0)
+            raise DomainError(f"division by zero at k={int(flat[first])}")
         try:
-            q = n / d + 0.0  # (-n)/(-d) rounds as n/d; + 0.0 makes an exact zero +0.0
+            if self.den_poly != (1,):  # the quotient in d's buffer (or n's, d being a scalar)
+                zero = n == 0  # (-n)/(-d) rounds as n/d, but 0/(-d) is -0.0
+                n = np.divide(n, d, out=d if np.ndim(d) else n)
+                n[zero] = 0.0
+            q = n.astype(np.float64, copy=False)
         except OverflowError:
-            for k in ks.flat:
+            for k in flat:
                 self.at(int(k))  # raises at the first quotient past float64
             raise
-        return np.full(ks.shape, q) if np.ndim(q) == 0 else q.astype(np.float64, copy=False)
+        return q.reshape(shape)

@@ -15,6 +15,7 @@ from geomseq import (
     delta_binomial,
     delta_recursive,
     seq_from_expr,
+    seq_oplus,
     term,
 )
 from geomseq.exprdsl import lower_log, parse
@@ -62,6 +63,14 @@ def _outcome(fn, *args):
         return _bits(fn(*args))
     except DomainError:
         return DomainError
+
+
+def _read(fn, *args):
+    """The float bits a call returns, or the text of the DomainError it raises."""
+    try:
+        return _bits(fn(*args))
+    except DomainError as exc:
+        return str(exc)
 
 
 def _oracle(src: str, m: int, k: int):
@@ -157,6 +166,14 @@ class TestStructuralExactness:
                 x.log_at(3)
             assert x.log_at(4) == float(eval_log_exact(parse(src), 4))
 
+    def test_a_difference_window_names_the_term_log_at_names(self):
+        """The pole of term 120000 enters the first difference at k = 119999,
+        mid-piece; the window and the point read name that k."""
+        view = delta_binomial(seq_from_expr("exp(1/((k-150000)*(k-120000)))"), 1)
+        for read in (lambda: view.log_values(110000, 16384), lambda: view.log_at(119999)):
+            with pytest.raises(DomainError, match=r"^division by zero at k=119999$"):
+                read()
+
     def test_exact_zero_is_positive_zero(self):
         r = RatFunc((0,), [(-3,)])
         assert math.copysign(1.0, r.at(5)) == 1.0
@@ -202,6 +219,28 @@ class TestPinnedHead:
         assert [d2.exact_form.exact(k) for k in range(1, 4)] == want
         assert _bits(d2.log_values(1, 3)) == _bits([1 / 3, -5 / 12, 1 / 30])
         assert _outcome(delta_recursive(y, 2).log_values, 1, 50) == _outcome(d2.log_values, 1, 50)
+
+    @pytest.mark.parametrize(
+        "view",
+        [
+            # head 0, 0, 0; the tail's pole at k = 5
+            pytest.param(lambda: d_operator(seq_from_expr("exp(1/(k-5))"), 3), id="pinned"),
+            # head: a pole at k = 1, then 0 + 1/(2-1)
+            pytest.param(
+                lambda: seq_oplus(d_operator(seq_from_expr("exp(1/k)"), 2), seq_from_expr("exp(1/(k-1))")),
+                id="combine",
+            ),
+        ],
+    )
+    def test_windows_straddling_the_head_read_as_points(self, view):
+        form = view().exact_form
+        h = len(form.head)
+        assert h
+        for lo in range(1, h + 2):
+            for n in (h - lo + 2, 17):
+                ks = range(lo, lo + n)
+                want = _read(lambda: [form.values(np.array([k]))[0] for k in ks])
+                assert _read(form.values, ks) == _read(form.values, np.arange(lo, lo + n)) == want
 
     def test_head_term_reading_a_pole_raises_only_there(self):
         view = delta_binomial(d_operator(seq_from_expr("exp(1/(k-3))"), 2), 1)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geomseq import DomainError
+from geomseq.gseq import SUM_CHUNK
 from geomseq.ratfunc import RatFunc
 
 
@@ -70,3 +71,65 @@ def test_values_equal_the_point_reads(form):
     got = r.values(ks)
     assert got.dtype == np.float64 and got.shape == ks.shape
     assert [float.hex(v) for v in got.flat] == want
+
+
+def _bound_ok(r: RatFunc, k: int) -> bool:
+    return all(sum(abs(c) * k**i for i, c in enumerate(p)) <= 2**53 for p in (r.num, r.den_poly))
+
+
+def _switch(r: RatFunc) -> int:
+    """The largest k whose window still reads in float64 (0 when none does)."""
+    lo, hi = 0, 2**63
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _bound_ok(r, mid) else (lo, mid)
+    return lo
+
+
+#: Degree 0 (a constant, the pole constant), d = 1 polynomials, and powers
+#: whose quotients pass float64 (k^20) or underflow to -0.0 (-1/k^40) in the
+#: windows drawn below.
+special_forms = st.sampled_from(
+    [((7,), ()), ((-3,), [(6,)]), ((), [(-5,)]), ((1,), [()]), ((0, 1), ()), ((5, -2, 1), ()),
+     ((0,) * 20 + (1,), ()), ((1,), [(0,) * 40 + (-1,)])]
+)
+
+
+@st.composite
+def windows(draw):
+    """A form and a window of n terms: low, ending around the form's float64
+    switch point or around 2^53, or at the last index 2^63 - 1."""
+    num, den = draw(st.one_of(st.tuples(numerators, denominators), st.tuples(numerators, st.just(())), special_forms))
+    r = RatFunc(num, den)
+    n = draw(st.sampled_from([0, 1, 17, SUM_CHUNK]))
+    where = draw(st.sampled_from(["low", "switch", "2^53", "top"]))
+    last = {"low": n, "switch": _switch(r), "2^53": 2**53, "top": 2**63 - 1}[where]
+    last += draw(st.integers(-2, 0 if where == "top" else 2))
+    lo = min(max(1, last - n + 1), 2**63 - max(n, 1))
+    return r, range(lo, lo + n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows())
+# -1/k^40 underflows to -0.0 from about k = 2^27 on, in Python ints
+@example((RatFunc((1,), [(0,) * 40 + (-1,)]), range(2**53, 2**53 + 17)))
+# k^20 passes float64 from about k = 2^51.2 on
+@example((RatFunc((0,) * 20 + (1,)), range(2**63 - 17, 2**63)))
+@example((RatFunc((1,), [()]), range(5, 5 + SUM_CHUNK)))
+def test_windows_and_index_arrays_equal_the_point_reads(form):
+    """values(range), values(int64 array) and the point reads agree bit for
+    bit, zero signs included, or raise the same DomainError text."""
+    r, ks = form
+    array = ks.start + np.arange(len(ks), dtype=np.int64)
+    try:
+        want = np.array([r.at(k) for k in ks]).tobytes()
+    except DomainError as exc:
+        for read in (ks, array):
+            with pytest.raises(DomainError) as got:
+                r.values(read)
+            assert str(got.value) == str(exc)
+        return
+    for read in (ks, array):
+        got = r.values(read)
+        assert got.dtype == np.float64 and got.shape == (len(ks),)
+        assert got.tobytes() == want
