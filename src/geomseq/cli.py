@@ -248,9 +248,9 @@ def dual_report_from_envelope(env: dict) -> DualReport:
 
 
 def _rows_envelope(args, seq: GSeq) -> dict:
-    """The eval/diff envelope; its rows are the logs over ``args.range``, read whole before output."""
+    """The eval/diff envelope; its rows are the logs over the window ``args.range``, read whole."""
     lo, hi = args.range
-    return _envelope(args, rows=seq.log_points(np.arange(lo, hi + 1, dtype=np.int64)))
+    return _envelope(args, rows=seq.log_points(range(lo, hi + 1)))
 
 
 #: Per format, a row's template and the text between two rows.  No field needs quoting

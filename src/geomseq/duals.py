@@ -31,7 +31,6 @@ import numpy as np
 
 from .codec import Report, json_key
 from .errors import GeometricError, NoSubsequenceFound, UnsupportedOrder, check_int
-from .exprdsl import float_index
 from .garith import GNum
 from .gdiff import check_order
 from .gseq import (
@@ -49,6 +48,7 @@ from .gseq import (
     window_ends,
     window_scan,
 )
+from .ratfunc import float_index
 from .spaces import weighted_sup
 
 __all__ = [

@@ -27,8 +27,8 @@ computes, for the evaluator and the lowering alike.
 
 One float evaluator and one lowering share the AST:
 
-* :func:`eval_value_array` reads the values over an index array (or a
-  ``range``, whose float index below 2^53 is one add to a shared array) and
+* :func:`eval_value_array` reads the values over a 1-d index array (or a
+  ``range``, whose float index is :func:`geomseq.ratfunc.float_index`) and
   :func:`eval_log_array` the logs, with the top-level exp shortcut;
   :func:`eval_value`, :func:`eval_at` and :func:`eval_log` read one term as
   a one-term array, so a term's bits do not depend on how it is asked for.
@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import DomainError, NonPositiveValue, ParseError
 from .garith import GNum
-from .ratfunc import Exact, NotExact, RatFunc
+from .ratfunc import _EXACT_INTS, INDEX_SPAN, Exact, NotExact, RatFunc, float_index  # noqa: F401
 
 __all__ = [
     "ExprAst",
@@ -334,35 +334,15 @@ def _check_k(k: int) -> int:
 #: The p·log2 b below which a power of a positive base reads as +0.0.
 _UNDERFLOW_LOG2 = -1080.0
 
-#: Every integer up to here is a float64, so float indices below it and
-#: products of them below it are exact.
-_EXACT_INTS = 2**53
-
 #: The constant exponents p that ``k^p`` may take as a product of p copies
 #: of k, by float: past p = 52 every k >= 2 has k^p beyond 2^53.
 _PRODUCTS = {float(p): p for p in range(2, 53)}
 
-#: Terms of one window-scan piece (``gseq.SUM_CHUNK``).  A float index of up
-#: to 64 terms more is one add to a shared array: that covers the m <= 60
-#: extra terms a difference view reads past a piece.
-INDEX_SPAN = 1 << 14
-_OFFSETS = np.arange(INDEX_SPAN + 64, dtype=np.float64)
-
-
-def float_index(lo: int, n: int) -> np.ndarray:
-    """The float64 indices lo .. lo+n-1 as a new array, bit for bit as
-    ``np.arange(lo, lo + n, dtype=float64)`` gives them.  Up to 2^53 they
-    are exact, and so is adding lo to the shared offsets 0 .. n-1."""
-    if n <= len(_OFFSETS) and lo + n <= _EXACT_INTS:
-        return _OFFSETS[:n] + float(lo)
-    return np.arange(lo, lo + n, dtype=np.float64)
-
-
 def _indices(ks) -> tuple[np.ndarray, np.ndarray | range]:
     """The float index of ``ks`` and, for the replay's messages, the indices
-    themselves: an integer array, or a ``range`` of step 1, whose float
-    index up to 2^53 needs no int64 array.  Each index must be an integer
-    in 1..2^63-1."""
+    themselves: a 1-d integer array, or a ``range`` of step 1, whose float
+    index up to 2^53 (:func:`~geomseq.ratfunc.float_index`) needs no int64
+    array.  Each index must be an integer in 1..2^63-1."""
     if isinstance(ks, range) and ks.step == 1:
         if len(ks) and ks.start < 1:
             raise DomainError(f"sequence indices must be positive integers, got {ks.start}")
@@ -373,7 +353,7 @@ def _indices(ks) -> tuple[np.ndarray, np.ndarray | range]:
         ks = ks.start + np.arange(len(ks), dtype=np.int64)
     ks = np.asarray(ks)
     if not np.issubdtype(ks.dtype, np.integer):  # a bool or a float is no index
-        ks = np.array([_check_k(k) for k in ks.ravel().tolist()], dtype=np.int64).reshape(ks.shape)
+        ks = np.array([_check_k(k) for k in ks.tolist()], dtype=np.int64)
     if ks.size and int(ks.min()) < 1:
         raise DomainError(f"sequence indices must be positive integers, got {int(ks.min())}")
     if ks.size and int(ks.max()) >= 2**63:
@@ -422,18 +402,15 @@ def _evaluate(node: ExprAst, ks, log: bool) -> np.ndarray:
                 return np.log(vals) if log else vals
     except FloatingPointError:
         pass
-    if isinstance(ks, range):
-        ks = np.arange(ks.start, ks.stop, dtype=np.int64)
     return _checked(target, x, ks, log)
 
 
-def _checked(node: ExprAst, x: np.ndarray, ks: np.ndarray, log: bool) -> np.ndarray:
+def _checked(node: ExprAst, x: np.ndarray, ks: np.ndarray | range, log: bool) -> np.ndarray:
     """:func:`_evaluate`'s replay, and the reference its first pass is held
-    to: the interpreter with every check, at the float index ``x`` of the
-    int64 indices ``ks``.  It raises the fault of the first failing term in
-    the order of ``ks``, and at that term its innermost fault, the one a
-    read of that term alone raises: a node records where it faults after
-    its children do."""
+    to: the interpreter with every check, at the float index ``x`` of ``ks``,
+    a window or int64 indices.  It raises the first failing term's fault in
+    the order of ``ks``, its innermost one, the one a read of that term alone
+    raises: a node records where it faults after its children do."""
     target, log = _target(node, log)
     faults: list = []
     with np.errstate(all="ignore"):
@@ -442,10 +419,10 @@ def _checked(node: ExprAst, x: np.ndarray, ks: np.ndarray, log: bool) -> np.ndar
         if log:
             positive = "sequence value must be strictly positive and finite"
             faults.append((vals <= 0.0, NonPositiveValue, positive))
-    masks = [np.broadcast_to(mask, x.shape).ravel() for mask, _, _ in faults]
+    masks = [np.broadcast_to(mask, x.shape) for mask, _, _ in faults]
     for i in np.flatnonzero(np.any(masks, axis=0))[:1]:  # the first failing term
         error, what = next(fault[1:] for fault, mask in zip(faults, masks) if mask[i])
-        raise error(f"{what} at k={int(ks.ravel()[i])}")
+        raise error(f"{what} at k={int(ks[i])}")
     return np.log(vals) if log else vals
 
 

@@ -157,5 +157,5 @@ def delta_norm(x: GSeq, m: int, N: int) -> GNum:
     m = check_order(m)
     N = check_int(N, "N", 1)
     head = ExactSum()
-    head.add(1, np.abs(x.log_points(np.arange(1, m + 1))))
+    head.add(1, np.abs(x.log_points(range(1, m + 1))))
     return GNum(head.read() + sup_gabs(delta_binomial(x, m), N).log_value)

@@ -5,22 +5,22 @@ closed-form expression, a finite buffer of logs, or a lazy view over other
 sequences.  Nothing is memoized; every access recomputes.
 
 Each view has one float read, ``_read(ks)``, the logs of the terms ``ks``
-as a 1-d array: ``ks`` is a window, a ``range`` of step 1, or points, an
-int64 array in any order.  ``log_values(start, count)`` reads one window;
-``log_points(ks)``, ``log_at(k)`` and ``term(k)`` read points, so a term
-reads the same bits however it is asked for.
+as a 1-d array, as every read below it is: ``ks`` is a window, a ``range``
+of step 1, or points, an int64 array in any order.  ``log_values`` reads a
+window, ``log_points(ks)`` a window or points, ``log_at(k)`` and ``term(k)``
+a point, so a term reads the same bits however it is asked for.
 
 A sequence may carry an :class:`ExactForm` as its ``exact_form`` (else
 None), exact logs decided once from the expression's structure
 (:func:`geomseq.exprdsl.lower_log`), never by probing terms;
-``exact_form.exact(k)`` is the exact log of term k.  Point reads read it
-instead of the windows.  The difference views difference it symbolically
-and read their windows from it too, because they subtract nearly equal
-exponents like k^4 at k ~ 1e4, where float64 rounding would swamp
-identities that must cancel to zero.  Other exact views keep float
-windows, whose last bits can differ from the points.
-The per-term Fraction reference for these exact logs is test code
-(``tests/exact_oracle.py``); no access path calls it.
+``exact_form.exact(k)`` is the exact log of term k.  ``log_points`` reads
+it, a window as points, instead of the float read.  The difference views
+difference it symbolically and read their windows from it too, because
+they subtract nearly equal exponents like k^4 at k ~ 1e4, where float64
+rounding would swamp identities that must cancel to zero.  Other exact
+views keep float ``log_values`` windows, whose last bits can differ from
+``log_points``.  The per-term Fraction reference for these exact logs is
+test code (``tests/exact_oracle.py``); no access path calls it.
 
 Boundedness, convergence and summability over an infinite index set are
 undecidable from finitely many terms, so every numeric claim is issued as a
@@ -68,7 +68,7 @@ from .errors import DomainError, IndexOutOfRange, NonPositiveValue, check_int
 from .garith import GNum
 from . import exprdsl
 from .exprdsl import ExprAst
-from .ratfunc import Exact, NotExact, RatFunc
+from .ratfunc import INDEX_SPAN, Exact, NotExact, RatFunc, float_index
 
 __all__ = [
     "GSeq",
@@ -247,8 +247,8 @@ def check_tol(tol: float) -> float:
 #: Terms per chunk of every window scan (:meth:`GSeq.log_chunks`) and of
 #: :class:`ExactSum`.  A chunk's temporaries are a few 128 KB arrays, so
 #: memory does not grow with N, and its float index is one add to a shared
-#: array (:func:`geomseq.exprdsl.float_index`).
-SUM_CHUNK = exprdsl.INDEX_SPAN
+#: array (:func:`geomseq.ratfunc.float_index`).
+SUM_CHUNK = INDEX_SPAN
 
 # A finite float64 is m * 2^(e - 53) with m a 53-bit integer and frexp's
 # exponent e >= -1073, so every term is a whole multiple of 2^-1126.
@@ -384,7 +384,7 @@ def _weighted_abs(k: int, logs: np.ndarray, weight: float) -> np.ndarray:
     if weight == 0.0:
         return vals
     n = len(logs)
-    kw = exprdsl.float_index(k, n)
+    kw = float_index(k, n)
     with np.errstate(over="ignore", invalid="ignore"):
         if weight in (2.0, 3.0) and (k + n - 1) ** int(weight) < 2**53:
             kw = kw * kw if weight == 2.0 else kw * kw * kw
@@ -413,11 +413,6 @@ def window_scan(
 
 # ---------------------------------------------------------------------------
 # Sequences
-
-
-def _index_array(ks: range | np.ndarray) -> np.ndarray:
-    """The int64 indices of a read: a window's ``range`` as an array."""
-    return np.arange(ks.start, ks.stop, dtype=np.int64) if isinstance(ks, range) else ks
 
 
 def _check_index(k: int) -> int:
@@ -452,16 +447,16 @@ class ExactForm:
         return (self.tail if k > len(self.head) else self.head[k - 1]).exact(k)
 
     def values(self, ks: range | np.ndarray) -> np.ndarray:
-        """The logs at the indices ``ks``, correctly rounded: a window, a
-        ``range`` of step 1, or an int64 index array of any shape.  Indices
+        """The logs at the indices ``ks`` as a 1-d array, correctly rounded:
+        a window, a ``range`` of step 1, or an int64 index array.  Indices
         past the listed head go to :meth:`RatFunc.values` as they are; an
         index array is made only when a window overlaps the head."""
         h = len(self.head)
         if (ks.start if isinstance(ks, range) else ks.min(initial=h + 1)) > h:
             return self.tail.values(ks)
-        ks = _index_array(ks)
+        ks = np.arange(ks.start, ks.stop, dtype=np.int64) if isinstance(ks, range) else ks
         listed = ks <= h
-        out = np.empty(ks.shape)
+        out = np.empty(len(ks))
         out[listed] = [self.head[k - 1].at(k) for k in ks[listed].tolist()]
         out[~listed] = self.tail.values(ks[~listed])
         return out
@@ -510,12 +505,14 @@ class GSeq:
         return float(self.log_points([k])[0])
 
     def log_points(self, ks) -> np.ndarray:
-        """Float64 logs of the terms at the indices ``ks``, in any order."""
-        if not (isinstance(ks, np.ndarray) and ks.dtype == np.int64):  # a huge index overflows the cast
+        """Float64 logs of the terms ``ks`` as a 1-d array: a window, a ``range``
+        of step 1, whose ends are checked, or points, indices in any order."""
+        window = isinstance(ks, range) and ks.step == 1
+        if not (window or isinstance(ks, np.ndarray) and ks.dtype == np.int64):  # a cast may overflow
             ks = np.array([_check_index(k) for k in ks], dtype=np.int64)
-        if len(ks):
-            self._bounded(ks.min())
-            self._bounded(ks.max())
+        if (ks.start < ks.stop) if window else len(ks):  # a window past 2^63 has no len
+            self._bounded(ks[0] if window else ks.min())
+            self._bounded(ks[-1] if window else ks.max())
         if self.exact_form is not None:
             return self.exact_form.values(ks)
         with np.errstate(over="ignore"):  # a log past float64 reads as +-inf
@@ -616,7 +613,9 @@ class BufferSeq(GSeq):
         return self._logs[lo - 1 : lo - 1 + n]
 
     def _read(self, ks: range | np.ndarray) -> np.ndarray:
-        return self._logs[_index_array(ks) - 1]
+        if isinstance(ks, range):  # a copy, as the points' index makes one
+            return self._logs[ks.start - 1 : ks.stop - 1].copy()
+        return self._logs[ks - 1]
 
 
 class ConstantSeq(GSeq):
@@ -648,7 +647,7 @@ class SparseLogSeq(GSeq):
         return tuple(sorted(self._entries))
 
     def _read(self, ks: range | np.ndarray) -> np.ndarray:
-        ks = _index_array(ks)
+        ks = np.arange(ks.start, ks.stop, dtype=np.int64) if isinstance(ks, range) else ks
         out = np.zeros(len(ks))
         for k, v in self._entries.items():
             out[ks == k] = v

@@ -4,16 +4,16 @@ Fraction arithmetic (the test oracle in ``tests/exact_oracle.py``) puts
 them.  Sums take the lcm of the factor lists.  Values are one correctly
 rounded division of Python ints, equal to ``float(Fraction(n, d))``.
 
-:meth:`RatFunc.values` is the one array read.  It takes the indices a
+:meth:`RatFunc.values` is the one array read, 1-d.  It takes the indices a
 sequence read takes: a window, a ``range`` of step 1, or an int64 index
 array.  It uses float64 Horner when sum |a_i| k_max^i <= 2^53 for the
 numerator and the denominator product: every partial is then an integer of
 at most 2^53, so it is exact, and the one IEEE division rounds n/d correctly
 ((-n)/(-d) = n/d; an exact zero is made +0.0).  A window's float index is
-built directly, exact below 2^53; each polynomial's Horner steps run in one
-buffer and the quotient in the denominator's; a constant form reads no
-index.  Past the bound the same steps run on Python ints.  A sequence holds
-its form as :attr:`geomseq.gseq.GSeq.exact_form`.
+the shared :func:`float_index`, exact below 2^53; each polynomial's Horner
+steps run in one buffer and the quotient in the denominator's; a constant
+form reads no index.  Past the bound the same steps run on Python ints.  A
+sequence holds its form as :attr:`geomseq.gseq.GSeq.exact_form`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["RatFunc", "NotExact", "MAX_DEGREE", "MAX_BITS"]
+__all__ = ["RatFunc", "NotExact", "MAX_DEGREE", "MAX_BITS", "INDEX_SPAN", "float_index"]
 
 #: Caps on an exact form's degree and on the coefficient bits a power may
 #: build; past them the float path takes over.  Powers are checked before
@@ -36,6 +36,26 @@ MAX_DEGREE, MAX_BITS = 256, 1 << 16
 
 Poly = tuple  # integer coefficients, constant term first, no trailing zeros
 Exact = Union[int, Fraction]
+
+
+#: Every integer up to here is a float64, so float indices below it and
+#: products of them below it are exact.
+_EXACT_INTS = 2**53
+
+#: Terms of one window-scan piece (``gseq.SUM_CHUNK``).  A float index of up
+#: to 64 terms more is one add to a shared array: that covers the m <= 60
+#: extra terms a difference view reads past a piece.
+INDEX_SPAN = 1 << 14
+_OFFSETS = np.arange(INDEX_SPAN + 64, dtype=np.float64)
+
+
+def float_index(lo: int, n: int) -> np.ndarray:
+    """The float64 indices lo .. lo+n-1 as a new array, bit for bit as
+    ``np.arange(lo, lo + n, dtype=float64)`` gives them.  Up to 2^53 they
+    are exact, and so is adding lo to the shared offsets 0 .. n-1."""
+    if n <= len(_OFFSETS) and lo + n <= _EXACT_INTS:
+        return _OFFSETS[:n] + float(lo)
+    return np.arange(lo, lo + n, dtype=np.float64)
 
 
 class NotExact(Exception):
@@ -166,36 +186,34 @@ class RatFunc:
             raise DomainError(f"exact log beyond float64 at k={k}")
 
     def values(self, ks: range | np.ndarray) -> np.ndarray:
-        """:meth:`at` over the indices a sequence read takes: a window, a
-        ``range`` of step 1, read into a 1-d array, or an int64 index array
-        of any shape, read in its shape.  The first failing term in ``ks``'s
-        order raises as :meth:`at` does there."""
-        window = isinstance(ks, range)
-        flat = ks if window else ks.reshape(-1)
-        shape = (len(ks),) if window else ks.shape
-        if not len(flat):
-            return np.empty(shape)
+        """:meth:`at` over the indices a sequence read takes, as a 1-d array:
+        a window, a ``range`` of step 1, or an int64 index array.  The first
+        failing term in ``ks``'s order raises as :meth:`at` does there."""
+        if not len(ks):
+            return np.empty(0)
         if self.degree == 0:  # a constant form reads no index
-            return np.full(shape, self.at(int(flat[0])))
-        k_max = flat[-1] if window else int(flat.max())  # indices start at 1
+            return np.full(len(ks), self.at(int(ks[0])))
+        window = isinstance(ks, range)
+        k_max = ks[-1] if window else int(ks.max())  # indices start at 1
         small = all(
-            sum(abs(c) * k_max**i for i, c in enumerate(p)) <= 1 << 53
+            sum(abs(c) * k_max**i for i, c in enumerate(p)) <= _EXACT_INTS
             for p in (self.num, self.den_poly)
         )
-        dtype = np.float64 if small else object  # the float index is exact below 2^53
-        x = np.arange(ks.start, ks.stop, dtype=dtype) if window else flat.astype(dtype)
+        if small:  # the float index is exact below 2^53
+            x = float_index(ks.start, len(ks)) if window else ks.astype(np.float64)
+        else:  # exact Python ints
+            x = np.arange(ks.start, ks.stop, dtype=object) if window else ks.astype(object)
         n, d = (_horner(p, x) for p in (self.num, self.den_poly))
         if not np.all(d):
             first = np.argmin(np.broadcast_to(d, x.shape) != 0)
-            raise DomainError(f"division by zero at k={int(flat[first])}")
+            raise DomainError(f"division by zero at k={int(ks[first])}")
         try:
             if self.den_poly != (1,):  # the quotient in d's buffer (or n's, d being a scalar)
                 zero = n == 0  # (-n)/(-d) rounds as n/d, but 0/(-d) is -0.0
                 n = np.divide(n, d, out=d if np.ndim(d) else n)
                 n[zero] = 0.0
-            q = n.astype(np.float64, copy=False)
+            return n.astype(np.float64, copy=False)
         except OverflowError:
-            for k in flat:
+            for k in ks:
                 self.at(int(k))  # raises at the first quotient past float64
             raise
-        return q.reshape(shape)

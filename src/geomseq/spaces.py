@@ -31,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from .codec import Report, json_key
-from .exprdsl import float_index
 from .garith import GNum
 from .gdiff import check_order, delta_binomial
 from .gseq import (
@@ -51,6 +50,7 @@ from .gseq import (
     window_ends,
     window_scan,
 )
+from .ratfunc import float_index
 
 __all__ = [
     "SPACES",

@@ -91,6 +91,14 @@ def _outcome(fn, *args):
         return DomainError
 
 
+def _message_or_bits(fn, *args):
+    """The float bits a call returns, or the error message it raises."""
+    try:
+        return _bits(fn(*args))
+    except DomainError as exc:
+        return str(exc)
+
+
 def _reads_one_path(view) -> bool:
     """Windows and points agree for float views and for the difference
     views, the recursive chain being order-1 binomial views; an exact
@@ -110,6 +118,11 @@ def test_points_equal_terms_bitwise(named, data):
             view.log_points(np.array(ks, dtype=np.int64))
     else:
         assert _bits(view.log_points(np.array(ks, dtype=np.int64))) == b"".join(want)
+    # a window reads as the equal int64 array: the same bits, or the same error
+    lo = data.draw(st.integers(1, top))
+    window = range(lo, data.draw(st.integers(lo, top + 1)))
+    points = np.arange(window.start, window.stop, dtype=np.int64)
+    assert _message_or_bits(view.log_points, window) == _message_or_bits(view.log_points, points)
 
 
 @_settings

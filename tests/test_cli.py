@@ -21,7 +21,7 @@ from geomseq import GeometricError, GNum, classify, dual_test, seq_from_expr, se
 from geomseq.cli import dual_report_from_envelope, load_sequence, main, membership_report_from_envelope
 from geomseq.errors import DomainError
 from geomseq.gdiff import MAX_ORDER, delta_binomial
-from geomseq.gseq import SUM_CHUNK
+from geomseq.gseq import SUM_CHUNK, ExpressionSeq
 
 from grammar import EXPRESSIONS
 
@@ -451,6 +451,20 @@ class TestBoundedMemory:
     @pytest.mark.parametrize("fmt, bound", [("json", 8.0), ("csv", 5.0)])
     def test_eval_rows_stay_within_a_piece(self, fmt, bound):
         assert _peak_mb(["eval", "--seq", "exp(1/k)", "--range", "1..100000", "--format", fmt]) < bound
+
+    def test_a_float_difference_reads_its_child_window_once(self, monkeypatch):
+        """diff's rows are one window: the child is read for its n + m terms,
+        not for the m + 1 terms of each row."""
+        read, counts = ExpressionSeq._read, []
+
+        def spy(self, ks):
+            counts.append(len(ks))
+            return read(self, ks)
+
+        monkeypatch.setattr(ExpressionSeq, "_read", spy)
+        with contextlib.redirect_stdout(_Discard()):
+            assert main(["diff", "--seq", "exp(ln(k)/k)", "--m", "3", "--range", "1..1000"]) == 0
+        assert sum(counts) == 1000 + 3
 
     def test_file_read_stays_under_4_mb(self, tmp_path):
         path = tmp_path / "logs.txt"

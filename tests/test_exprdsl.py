@@ -18,7 +18,7 @@ from geomseq import (
     seq_from_expr,
     to_source,
 )
-from geomseq import exprdsl
+from geomseq import exprdsl, ratfunc
 from geomseq.exprdsl import (
     INDEX_SPAN,
     MAX_NESTING,
@@ -308,8 +308,8 @@ class TestEvaluation:
         monkeypatch.setattr(exprdsl, "float_index", spy)
         report = json.dumps(classify(x, "linf", 2, 10**5).to_dict())
         assert max(spans) == INDEX_SPAN + 2
-        assert max(spans) <= len(exprdsl._OFFSETS)
-        monkeypatch.setattr(exprdsl, "_OFFSETS", exprdsl._OFFSETS[:INDEX_SPAN])
+        assert max(spans) <= len(ratfunc._OFFSETS)
+        monkeypatch.setattr(ratfunc, "_OFFSETS", ratfunc._OFFSETS[:INDEX_SPAN])
         assert json.dumps(classify(x, "linf", 2, 10**5).to_dict()) == report
 
 

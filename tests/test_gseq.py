@@ -100,6 +100,12 @@ class TestSequenceAccess:
             with pytest.raises(IndexOutOfRange, match=r"end at 2\^63-1, got 9223372036854775808$"):
                 read()
 
+    @pytest.mark.parametrize("src", ["exp(1/k)", "exp(ln(k)/k)"])
+    def test_a_window_is_checked_at_its_ends(self, src):
+        """A window too long for a ``len`` is refused by its last index."""
+        with pytest.raises(IndexOutOfRange, match=r"end at 2\^63-1, got 18446744073709551615$"):
+            seq_from_expr(src).log_points(range(2**63 - 1, 2**64))
+
     def test_buffer_length_respected(self):
         b = seq_from_logs([0.1, 0.2, 0.3])
         assert b.length == 3

@@ -20,14 +20,7 @@ def _ints(bits: int):
 numerators = st.lists(_ints(62), max_size=4)
 denominators = st.lists(st.lists(_ints(20), min_size=1, max_size=3).map(tuple), max_size=3)
 _k = st.integers(0, 31).flatmap(lambda b: st.integers(1, 2**b))
-index_arrays = st.one_of(
-    st.lists(_k, max_size=12).map(lambda ks: np.array(ks, dtype=np.int64)),
-    st.tuples(st.integers(1, 3), st.integers(0, 4)).flatmap(
-        lambda shape: st.lists(_k, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
-            lambda ks: np.array(ks, dtype=np.int64).reshape(shape)
-        )
-    ),
-)
+index_arrays = st.lists(_k, max_size=12).map(lambda ks: np.array(ks, dtype=np.int64))
 
 
 @st.composite
@@ -52,10 +45,10 @@ def forms(draw):
 @example(([3], [(2**52, 2**51)], np.array([1, 2])))
 @example(([3], [(1, 2**52)], np.array([1, 2])))
 # 0 / (-k) is +0.0, not -0.0
-@example(([], [(0, -1)], np.array([[1, 2, 3]])))
+@example(([], [(0, -1)], np.array([1, 2, 3])))
 # poles: the first k in index order is named
 @example(([1], [(-3, 1), (0, 1)], np.array([5, 3, 4])))
-@example(([1], [()], np.array([[7], [2]])))
+@example(([1], [()], np.array([7, 2])))
 def test_values_equal_the_point_reads(form):
     num, den, ks = form
     r = RatFunc(num, den)

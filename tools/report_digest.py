@@ -20,6 +20,18 @@ exactly the ones listed in ``tools/digest_moves.txt``, one
 so does a listed one that did not move, so the list holds only the moves of
 the change at hand.  The package is imported from the ``src/`` next to this
 script.
+
+The boundary records also score the verdicts.  Each name ends in its
+p-series answer, ``member`` or ``not-member``:
+
+    python tools/report_digest.py --score > after-score.txt
+    python tools/report_digest.py --compare-scores before-score.txt after-score.txt
+
+``--score`` re-runs the boundary probes and prints how many verdicts are
+right, wrong, ``inconclusive`` or an error per probe and m, then each wrong
+and each error record by name.  ``--compare-scores`` exits 1 when a record is
+wrong or an error after but not before, unless ``tools/digest_moves.txt``
+lists it.
 """
 
 import argparse
@@ -450,10 +462,11 @@ def probe_report(x, probe: str, m: int, n: int):
     return duals.dual_test(x, probe, m, n).to_dict()
 
 
-def boundary_records():
-    """The probes of :data:`BOUNDARY_PROBES` at :data:`BOUNDARY_WINDOW` on
-    each family of :data:`BOUNDARY_FAMILIES` over the p grid, on the
-    constant logs of :data:`BOUNDARY_CONSTANTS`, and the queries of
+def boundary_cases():
+    """``(name, make)`` of each boundary record: the probes of
+    :data:`BOUNDARY_PROBES` at :data:`BOUNDARY_WINDOW` on each family of
+    :data:`BOUNDARY_FAMILIES` over the p grid, on the constant logs of
+    :data:`BOUNDARY_CONSTANTS`, and the queries of
     :data:`BOUNDARY_EXPRESSIONS`.  Each name ends in the p-series answer."""
     n = BOUNDARY_WINDOW
 
@@ -466,15 +479,79 @@ def boundary_records():
     for label, logs, t, alt in cases:
         x = gseq.seq_from_logs(logs)
         for probe, m in BOUNDARY_PROBES:
-            yield report_line(
-                f"boundary[{probe}|{m}|{label}|{answer(p_series_member(probe, m, t, alt))}]",
-                lambda: probe_report(x, probe, m, n),
-            )
+            yield (f"boundary[{probe}|{m}|{label}|{answer(p_series_member(probe, m, t, alt))}]",
+                   lambda x=x, probe=probe, m=m: probe_report(x, probe, m, n))
     for src, probe, m, member in BOUNDARY_EXPRESSIONS:
-        yield report_line(
-            f"boundary[{probe}|{m}|{src}|{answer(member)}]",
-            lambda: probe_report(gseq.seq_from_expr(src), probe, m, n),
-        )
+        yield (f"boundary[{probe}|{m}|{src}|{answer(member)}]",
+               lambda src=src, probe=probe, m=m: probe_report(gseq.seq_from_expr(src), probe, m, n))
+
+
+def boundary_records():
+    """The digest line of each :func:`boundary_cases` record."""
+    for name, make in boundary_cases():
+        yield report_line(name, make)
+
+
+#: How a boundary record is scored, in the order the score prints them.
+OUTCOMES = ("right", "wrong", "inconclusive", "error")
+
+
+def score_outcome(name: str, make) -> str:
+    """One boundary record judged against its name's answer: the verdict
+    ``finite`` says member, ``diverged`` not member; for ``remainder`` the
+    verdict is the pair's second element."""
+    try:
+        result = make()
+    except Exception:
+        return "error"
+    kind = (result[1] if isinstance(result, list) else result["verdict"])["kind"]
+    if kind == "inconclusive":
+        return kind
+    return "right" if (kind == "finite") == name.endswith("|member]") else "wrong"
+
+
+def score() -> None:
+    """Print the right / wrong / inconclusive / error counts of the boundary
+    records per probe and m, their totals, then each wrong and each error
+    record as ``outcome name``."""
+    counts, named = {}, []
+    for name, make in boundary_cases():
+        outcome = score_outcome(name, make)
+        probe, m = name[len("boundary["):].split("|")[:2]
+        counts.setdefault((probe, m), dict.fromkeys(OUTCOMES, 0))[outcome] += 1
+        if outcome in ("wrong", "error"):
+            named.append(f"{outcome} {name}")
+    print(f"{'probe':<12} {'m':>2}" + "".join(f" {o:>12}" for o in OUTCOMES))
+    for (probe, m), row in counts.items():
+        print(f"{probe:<12} {m:>2}" + "".join(f" {row[o]:>12}" for o in OUTCOMES))
+    total = {o: sum(row[o] for row in counts.values()) for o in OUTCOMES}
+    print("total: " + ", ".join(f"{total[o]} {o}" for o in OUTCOMES), f"of {sum(total.values())} records")
+    print(*named, sep="\n")
+
+
+def read_score(path: Path) -> dict:
+    """Record name -> ``wrong`` or ``error``, from a :func:`score` output."""
+    named = {}
+    for line in path.read_text().splitlines():
+        outcome, _, name = line.partition(" ")
+        if outcome in ("wrong", "error") and name.startswith("boundary["):
+            named[name] = outcome
+    return named
+
+
+def compare_scores(before: Path, after: Path) -> int:
+    """1 if a record is wrong or an error after but was not so before,
+    unless :data:`MOVES` lists it; records mended are printed too."""
+    base, head = read_score(before), read_score(after)
+    listed = expected_moves()
+    broken = [name for name, outcome in head.items() if base.get(name) != outcome]
+    for name in broken:
+        note = "" if name in listed else f", not listed in {MOVES.name}"
+        print(f"{head[name]} after, {base.get(name, 'right or inconclusive')} before{note}: {name}")
+    for name in sorted(base.keys() - head.keys()):
+        print(f"no longer wrong or an error: {name}")
+    print(f"{len(base)} wrong or error records before, {len(head)} after")
+    return int(any(name not in listed for name in broken))
 
 
 def process_line(name: str, argv: list, cwd: Path) -> str:
@@ -541,9 +618,15 @@ def compare(before: Path, after: Path) -> int:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
+    parser.add_argument("--score", action="store_true", help="score the boundary records")
+    parser.add_argument("--compare-scores", nargs=2, type=Path, metavar=("BEFORE", "AFTER"))
     args = parser.parse_args()
     if args.compare:
         sys.exit(compare(*args.compare))
+    if args.compare_scores:
+        sys.exit(compare_scores(*args.compare_scores))
+    if args.score:
+        return score()
     print(report_line("namespace", lambda: sorted(geomseq.__all__)), flush=True)
     for line in library_records():
         print(line, flush=True)
