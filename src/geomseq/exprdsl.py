@@ -463,7 +463,10 @@ def _power(node: ExprAst, a: np.ndarray, b: np.ndarray, faults: list | None) -> 
     where Python's ``**`` raises and filling +0.0, as ``**`` reads it, where p·log2 b
     < :data:`_UNDERFLOW_LOG2` (underflowing ``np.power`` takes libm's slow
     path).  p·log2 b is bilinear, so its corners over the ranges of a and b
-    (the least base alone for p >= 0) rule most pieces out first.
+    settle most pieces first: nothing is filled when every corner is at or
+    above the edge, and everything, with no mask and no ``np.power``, when
+    every corner is below it by 1 (far more than ``math.log2`` and
+    ``np.log2`` differ by).
 
     ``k^p`` for a constant integer p >= 2 is the product of p copies of k
     while the largest k^p is below 2^53: every partial product is then an
@@ -488,6 +491,9 @@ def _power(node: ExprAst, a: np.ndarray, b: np.ndarray, faults: list | None) -> 
         bases = (lo,) if min(ps) >= 0.0 else (lo, float(a.max()))
         if all(math.log2(u) * p >= _UNDERFLOW_LOG2 for u in bases for p in ps):
             return np.power(a, b)
+        bases = (lo,) if max(ps) <= 0.0 else (lo, float(a.max()))
+        if all(math.log2(u) * p < _UNDERFLOW_LOG2 - 1.0 for u in bases for p in ps):
+            return np.zeros(a.shape)
     with np.errstate(all="ignore"):  # the fill mask is no value: a base <= 0 is no fault here
         fill = (a > 0.0) & (b * np.log2(a) < _UNDERFLOW_LOG2)
     out = np.power(a, b, out=np.zeros(a.shape), where=~fill)

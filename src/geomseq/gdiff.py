@@ -8,17 +8,18 @@ log of the m-th difference at k is the alternating binomial combination
 which is the classical m-fold forward difference of the logs up to the sign
 (-1)^m.  The binomial view is the one implementation; it reads its child
 once per read, over the count + m terms a window needs or the m + 1 terms
-of each point.  The recursive chain is m order-1 binomial views: at m = 1
-it is the same operator, and for m >= 2 its nested first differences round
-differently from the one-shot expansion, so it checks that expansion.  The
-test suite holds both against the classical m-fold forward difference of
-the logs.
+of each point, :data:`~geomseq.gseq.SUM_CHUNK` points at a time.  The
+recursive chain is m order-1 binomial views: at m = 1 it is the same
+operator, and for m >= 2 its nested first differences round differently
+from the one-shot expansion, so it checks that expansion.  The test suite
+holds both against the classical m-fold forward difference of the logs.
 
 Polynomial exponents are the canonical stress case: the m-th difference of
 e^(k^m) is the constant e^((-1)^m * m!) and the (m+1)-st collapses to the
 geometric zero.  Given an exact form (:class:`~geomseq.gseq.ExactForm`),
-both operators difference it symbolically once, when the view is built, and
-read every window and point from it (exact float64 Horner while every value
+both operators difference it symbolically once, in one pass
+(:meth:`~geomseq.ratfunc.RatFunc.shifts`), when the view is built, and read
+every window and point from it (exact float64 Horner while every value
 stays within 2^53, Python ints beyond); float64 renderings of k^4 near
 k = 1e4 would leave noise of order 2^m.  A window reaches the form as its
 ``range``, so no int64 index array is built for it.
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import UnsupportedOrder, check_int
 from .garith import GNum
-from .gseq import ExactSum, GSeq, _check_index, sup_gabs
+from .gseq import SUM_CHUNK, ExactSum, GSeq, _check_index, sup_gabs
 
 __all__ = [
     "MAX_ORDER",
@@ -88,6 +89,8 @@ class _DeltaBinomialView(GSeq):
             terms = [block[v : v + n] for v in range(m + 1)]
         else:  # each point's m + 1 terms, point by point: a failing read names the same term
             _check_index(int(ks.max(initial=1)) + m)
+            if n > SUM_CHUNK:  # SUM_CHUNK points at a time, in order, so the grid stays bounded
+                return np.concatenate([self._read(ks[i : i + SUM_CHUNK]) for i in range(0, n, SUM_CHUNK)])
             terms = self.child._read((ks[:, None] + np.arange(m + 1)).ravel()).reshape(n, m + 1).T
         out = np.zeros(n)
         with np.errstate(invalid="ignore"):  # inf - inf is redone below

@@ -475,15 +475,14 @@ class ExactForm:
         return ExactForm(self.tail, head)
 
     def shifts(self, coeffs: list[int]) -> Optional["ExactForm"]:
-        """The form of sum_v coeffs[v] * (log of term k+v); None past the caps."""
+        """The form of sum_v coeffs[v] * (log of term k+v): the head's terms
+        listed, the tail differenced in one pass (:meth:`RatFunc.shifts`);
+        None past the caps."""
         head = _listed(len(self.head), lambda k: sum(c * self.exact(k + v) for v, c in enumerate(coeffs)))
         try:
-            tail = self.tail * RatFunc.const(coeffs[0])
-            for v, c in enumerate(coeffs[1:], 1):
-                tail = tail + self.tail.shift(v) * RatFunc.const(c)
+            return ExactForm(self.tail.shifts(coeffs), head)
         except NotExact:
             return None
-        return ExactForm(tail, head)
 
 
 class GSeq:

@@ -1,23 +1,22 @@
 """Exact rational functions of k: an integer polynomial over a product of
 integer polynomial factors, never reduced, so poles stay where per-term
 Fraction arithmetic (the test oracle in ``tests/exact_oracle.py``) puts
-them.  Sums take the lcm of the factor lists.  Values are one correctly
-rounded division of Python ints, equal to ``float(Fraction(n, d))``.
+them.  Sums take the lcm of the factor lists; a difference
+(:meth:`RatFunc.shifts`) takes it once.  Values are one correctly rounded
+division of Python ints, equal to ``float(Fraction(n, d))``.
 
-:meth:`RatFunc.values` is the one array read, 1-d.  It takes the indices a
-sequence read takes: a window, a ``range`` of step 1, or an int64 index
-array.  It uses float64 Horner when sum |a_i| k_max^i <= 2^53 for the
-numerator and the denominator product: every partial is then an integer of
-at most 2^53, so it is exact, and the one IEEE division rounds n/d correctly
-((-n)/(-d) = n/d; an exact zero is made +0.0).  A window's float index is
-the shared :func:`float_index`, exact below 2^53; each polynomial's Horner
-steps run in one buffer and the quotient in the denominator's; a constant
-form reads no index.  Past the bound the same steps run on Python ints.  A
-sequence holds its form as :attr:`geomseq.gseq.GSeq.exact_form`.
+:meth:`RatFunc.values`, the one array read, uses float64 Horner when
+sum |a_i| k_max^i <= 2^53 for the numerator and the denominator product:
+every partial is then an exact integer, and the one IEEE division rounds
+n/d correctly ((-n)/(-d) = n/d; an exact zero is made +0.0).  Past the
+bound the same steps run on Python ints.  A sequence holds its form as
+:attr:`geomseq.gseq.GSeq.exact_form`.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
@@ -85,6 +84,16 @@ def _pmul(a: Poly, b: Poly) -> Poly:
 
 def _pprod(polys: Iterable[Poly]) -> Poly:
     return reduce(_pmul, polys, (1,))
+
+
+def _taylor(p: Poly, moments: Iterable[list[int]]) -> list[Poly]:
+    """sum_v w_v * p(k + v) for the weights w whose moments are each
+    mu_t = sum_v w_v v^t, by the binomial expansion (von zur Gathen and
+    Gerhard, *Fast algorithms for Taylor shifts*, ISSAC 1997): coefficient j
+    is sum_{i >= j} C(i, j) p_i mu_{i-j}.  The moments v^t make the shift by
+    v; a whole weighted sum costs one set of moments.  Not trimmed."""
+    rows = [[math.comb(i, j) * p[i] for i in range(j, len(p))] for j in range(len(p))]
+    return [tuple(sum(map(operator.mul, row, mu)) for row in rows) for mu in moments]
 
 
 def _horner(p: Poly, x):
@@ -159,13 +168,29 @@ class RatFunc:
             return RatFunc(self.den_poly, self.den)
         return RatFunc(reduce(_pmul, [self.num] * p), self.den * p)
 
-    def shift(self, v: int) -> "RatFunc":
-        """The function k -> self(k + v)."""
-
-        def moved(p: Poly) -> Poly:
-            return reduce(lambda acc, c: _padd(_pmul(acc, (v, 1)), (c,)), reversed(p), ())
-
-        return RatFunc(moved(self.num), [moved(d) for d in self.den])
+    def shifts(self, coeffs: list[int]) -> "RatFunc":
+        """sum_v coeffs[v] * self(k + v), a difference's form, in one pass:
+        each distinct polynomial Taylor-shifted once (:func:`_taylor`), one
+        union of the shifted factor lists, one numerator sum over it (a
+        polynomial form is one weighted sum).  It equals a chain of ``+``
+        over the terms.  The chain's partial sums have degree at most
+        deg num - deg den + deg common; past :data:`MAX_DEGREE` the terms are
+        summed by that chain, which raises :class:`NotExact` where it does."""
+        vs = range(len(coeffs))
+        powers = [[v**t for t in range(max(map(len, (self.num, *self.den))))] for v in vs]
+        weighted = [[c * x for x in pw] for c, pw in zip(coeffs, powers)]
+        if not self.den:
+            return RatFunc(_taylor(self.num, [list(map(sum, zip(*weighted)))])[0])
+        nums = _taylor(self.num, weighted)
+        moved = {d: _taylor(d, powers) for d in set(self.den)}
+        dens = [tuple(moved[d][v] for d in self.den) for v in vs]
+        common = Counter()
+        for den in dens:
+            common |= Counter(den)
+        if len(self.num) - 1 + sum(len(f) - 1 for f in (common - Counter(self.den)).elements()) > MAX_DEGREE:
+            return reduce(operator.add, map(RatFunc, nums, dens))
+        over = (_pmul(num, _pprod((common - Counter(den)).elements())) for num, den in zip(nums, dens))
+        return RatFunc(reduce(_padd, over), common.elements())
 
     def _pair(self, k: int) -> tuple[int, int]:
         n, d = _horner(self.num, k), _horner(self.den_poly, k)

@@ -3,11 +3,13 @@ symbolically, held against the per-term Fraction oracle (eval_log_exact in
 tests/exact_oracle.py)."""
 
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from geomseq import (
     DomainError,
@@ -20,9 +22,10 @@ from geomseq import (
 )
 from geomseq.exprdsl import lower_log, parse
 from geomseq.gdiff import binomial_row
-from geomseq.ratfunc import MAX_DEGREE, RatFunc
+from geomseq.ratfunc import MAX_DEGREE, NotExact, RatFunc, _padd, _pmul, _trim
 
 from exact_oracle import eval_log_exact
+from grammar import EXPRESSIONS
 
 _leaves = st.one_of(
     st.just("k"),
@@ -88,6 +91,52 @@ def _oracle(src: str, m: int, k: int):
         return float(total)
     except (DomainError, OverflowError):
         return DomainError
+
+
+def _chained(r: RatFunc, coeffs: list[int]) -> RatFunc:
+    """sum_v coeffs[v] * r(k + v) as a chain of ``+``, each term shifted by
+    Horner steps in k + v: the reference :meth:`RatFunc.shifts` is held to."""
+
+    def moved(p, v):
+        return reduce(lambda acc, c: _padd(_pmul(acc, (v, 1)), (c,)), reversed(p), ())
+
+    total = r * RatFunc.const(coeffs[0])
+    for v, c in enumerate(coeffs[1:], 1):
+        total = total + RatFunc(moved(r.num, v), [moved(d, v) for d in r.den]) * RatFunc.const(c)
+    return total
+
+
+def _difference(differ, r: RatFunc, coeffs: list[int]):
+    """The numerator, denominator and factor multiset, or None past the caps."""
+    try:
+        out = differ(r, coeffs)
+    except NotExact:
+        return None
+    return out.num, out.den_poly, Counter(out.den)
+
+
+_polys = st.lists(st.integers(-9, 9), max_size=4).map(_trim)
+
+#: The exact forms of the grammar and of rational exponents, and raw forms
+#: whose factors may repeat, coincide once shifted, or be the zero polynomial.
+difference_forms = st.one_of(
+    EXPRESSIONS.map(lambda s: f"exp({s})") | exponents,
+    st.builds(RatFunc, _polys, st.lists(_polys, max_size=3)),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(difference_forms, st.integers(1, 6))
+# at the degree cap a partial sum of the chain passes it where the whole does not
+@example("exp(k^256/(k+1))", 2)
+@example("exp(k^256/(k+1))", 4)
+@example("exp(k^255/(k+1))", 4)
+@example("exp(1/k^128)", 2)
+def test_one_pass_difference_is_the_chained_sum(form, m):
+    r = lower_log(parse(form)) if isinstance(form, str) else form
+    assume(r is not None)
+    coeffs = [c if v % 2 == 0 else -c for v, c in enumerate(binomial_row(m))]
+    assert _difference(RatFunc.shifts, r, coeffs) == _difference(_chained, r, coeffs)
 
 
 @_settings

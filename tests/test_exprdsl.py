@@ -3,6 +3,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -639,3 +640,35 @@ def _last_below(p: int) -> int:
 
 def test_power_edges_are_the_last_terms_below_2_53():
     assert POWER_EDGES == {p: _last_below(p) for p in POWER_EDGES}
+
+
+@st.composite
+def _underflowing(draw):
+    """``b^(c-k)`` or ``(p/q)^k``, and the first k whose p·log2 b is below
+    the fill edge by more than 1: past it a piece reads +0.0 unpowered."""
+    margin = 1.0 - exprdsl._UNDERFLOW_LOG2
+    if draw(st.booleans()):
+        b, c = draw(st.sampled_from(["2", "3", "10", "1.5"])), draw(st.integers(0, 5))
+        return f"{b}^({c}-k)", c + math.floor(margin / math.log2(float(b))) + 1
+    q = draw(st.integers(2, 9))
+    p = draw(st.integers(1, q - 1))
+    return f"({p}/{q})^k", math.floor(margin / math.log2(q / p)) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(_underflowing(), st.integers(-300, 300), st.integers(1, 200))
+@example(("2^(0-k)", 1082), 1, 200)  # wholly past the edge
+@example(("(1/2)^k", 1082), 1075 - 1082, 8)  # across it
+def test_underflowed_powers_read_plus_zero(power, offset, n):
+    """Windows across the underflow edge and past it: the one-pass read is
+    the checked replay's and the per-term read's bit for bit, its zeros are
+    +0.0, and a window wholly past the edge calls no ``np.power``."""
+    (src, edge), lo = power, max(1, power[1] + offset)
+    ast, ks = parse(f"exp({src})"), range(lo, lo + n)
+    with mock.patch.object(np, "power", wraps=np.power) as spy:
+        got = eval_log_array(ast, ks)
+    assert _bits(got) == _bits(exprdsl._checked(ast, float_index(lo, n), ks, True))
+    assert _bits(got) == _bits([seq_from_expr(ast).log_at(k) for k in ks])
+    assert not np.signbit(got).any()
+    if lo > edge:
+        assert spy.call_count == 0 and not got.any()

@@ -2,11 +2,13 @@
 fast path, and the norm built on top."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from geomseq import (
+    DomainError,
     GNum,
     IndexOutOfRange,
     UnsupportedOrder,
@@ -25,6 +27,7 @@ from geomseq import (
     term,
 )
 from geomseq.gdiff import MAX_ORDER, check_order
+from geomseq.gseq import SUM_CHUNK
 
 
 def classical_forward(logs: np.ndarray, m: int) -> np.ndarray:
@@ -162,6 +165,27 @@ class TestIndexEnd:
         both = seq_oplus(exact, x) if exact_first else seq_oplus(x, exact)
         with pytest.raises(IndexOutOfRange, match=r"end at 2\^63-1, got 9223372036854775808$"):
             delta_binomial(both, 1).log_at(2**63 - 1)
+
+
+class TestPointReads:
+    """A float difference reads a point set SUM_CHUNK points at a time."""
+
+    def test_peak_is_bounded_and_bits_are_the_window_read(self):
+        view = delta_binomial(seq_from_expr("exp(ln(k)/k)"), 20)
+        tracemalloc.start()
+        try:
+            got = view.log_points(np.arange(1, 10**5 + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # one n x (m + 1) grid of 10^5 points is 16 MiB
+        assert got.tobytes() == view.log_points(range(1, 10**5 + 1)).tobytes()
+
+    def test_first_failing_point_in_order_is_named(self):
+        view = delta_binomial(seq_from_expr("exp(ln(k-20000))"), 2)
+        ks = np.concatenate([np.arange(30_000, 30_000 + SUM_CHUNK + 5), [9, 4]])
+        with pytest.raises(DomainError, match=r"at k=9$"):
+            view.log_points(ks)
 
 
 class TestHomomorphism:
